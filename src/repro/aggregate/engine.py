@@ -360,7 +360,7 @@ def _publish_issued(
         return
     from ..telemetry import AggregateIssuedEvent
 
-    service.bus.publish(
+    service.publish(
         AggregateIssuedEvent(
             time=0.0,
             backend=request.backend,
@@ -378,7 +378,7 @@ def _publish_partial(
         return
     from ..telemetry import AggregatePartialEvent
 
-    service.bus.publish(
+    service.publish(
         AggregatePartialEvent(time=0.0, session=session, memoized=memoized)
     )
 
@@ -393,7 +393,7 @@ def _publish_merged(
         return
     from ..telemetry import AggregateMergedEvent
 
-    service.bus.publish(
+    service.publish(
         AggregateMergedEvent(
             time=0.0,
             op=request.op,

@@ -298,7 +298,7 @@ def bench_serve_net_throughput(repeats: int) -> BenchMeasurement:
     clients = 4
 
     async def one_pass() -> int:
-        server = NetServer(service, NetConfig(pool_workers=2))
+        server = NetServer(service, NetConfig())
         await server.start()
         host, port = server.address
         try:
@@ -342,7 +342,7 @@ def bench_serve_net_latency(repeats: int) -> BenchMeasurement:
     queries = _serve_query_mix(client, count=50)
 
     async def one_pass() -> float:
-        server = NetServer(service, NetConfig(pool_workers=1))
+        server = NetServer(service, NetConfig())
         await server.start()
         host, port = server.address
         try:

@@ -518,7 +518,7 @@ def _serve_daemon(service, client) -> None:
     """
     import json
 
-    from .serve import MAX_LINE_BYTES, decode_request_line
+    from .serve import MAX_LINE_BYTES, decode_request_line, encode_response_line
 
     seq = 0
     for raw in sys.stdin:
@@ -554,14 +554,11 @@ def _serve_daemon(service, client) -> None:
             continue
         if decoded.kind == "aggregate":
             response = service.aggregate(decoded.aggregate)
-            out = {"id": decoded.id}
-            out.update(response.to_dict())
-            sys.stdout.write(json.dumps(out) + "\n")
+            sys.stdout.write(encode_response_line(response, line_id=decoded.id))
             sys.stdout.flush()
             continue
         for expanded in client.expand([decoded.query]):
-            response = service.submit(expanded)
-            sys.stdout.write(json.dumps(response.to_dict()) + "\n")
+            sys.stdout.write(encode_response_line(service.submit(expanded)))
         sys.stdout.flush()
 
 

@@ -329,9 +329,7 @@ async def _serve_over_net(service, requests, deadline_s: float, attempts: int = 
     from ..serve.net import AsyncServiceClient, NetConfig, NetServer
     from ..serve.protocol import STATUS_ERROR, QueryResponse
 
-    server = NetServer(
-        service, NetConfig(deadline_s=deadline_s, pool_workers=2)
-    )
+    server = NetServer(service, NetConfig(deadline_s=deadline_s))
     await server.start()
     host, port = server.address
     client: Optional[AsyncServiceClient] = None

@@ -29,11 +29,13 @@ from .protocol import (
     QueryRequest,
     QueryResponse,
     decode_request_line,
+    encode_response_line,
     parse_queries_jsonl,
     responses_to_jsonl,
 )
 from .service import (
     SESSION_REF_NAMESPACE,
+    CachedReport,
     ProfilingService,
     ResultLRU,
     ServeStats,
@@ -46,6 +48,7 @@ __all__ = [
     "ALL_SESSIONS",
     "AsyncServiceClient",
     "CORPUS_KIND",
+    "CachedReport",
     "DecodedLine",
     "IngestedTrace",
     "LineAssembler",
@@ -70,6 +73,7 @@ __all__ = [
     "SessionRecord",
     "UnknownSessionError",
     "decode_request_line",
+    "encode_response_line",
     "iter_traces",
     "parse_queries_jsonl",
     "responses_to_jsonl",

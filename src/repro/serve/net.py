@@ -33,6 +33,12 @@ Design (every guarantee here is pinned by ``tests/test_serve_net.py``):
   admission; a query that cannot produce its answer in
   :attr:`NetConfig.deadline_s` comes back as a typed ``error`` naming
   the query and session — the connection never hangs.
+* **Threading.**  The event loop answers result-cache hits itself,
+  calling :meth:`~repro.serve.service.ProfilingService.submit` inline —
+  no thread hop, no deadline wait.  Cache misses and aggregates go to
+  **one** owner thread, the only thread that runs analyzer work; the
+  service's own lock keeps its cache, counters and bus consistent
+  between the two.  A hit therefore never queues behind cold work.
 * **Graceful shutdown.**  :meth:`NetServer.shutdown` stops accepting,
   lets every connection finish the lines it has already received,
   flushes all in-flight responses, and only then closes sockets
@@ -43,13 +49,14 @@ Chaos sites ``net.accept`` / ``net.read`` / ``net.write`` /
 (:mod:`repro.faults`): latency injections exercise the deadline path,
 io-errors kill a connection loudly (the peer sees the close), and
 read/write corruption surfaces as parse errors — never a wrong answer.
+``net.latency`` models the hop to the owner thread: a stalled owner
+delays the misses and aggregates queued behind it, never a cache hit.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -69,6 +76,7 @@ from .protocol import (
     QueryRequest,
     QueryResponse,
     decode_request_line,
+    encode_response_line,
 )
 from .service import ProfilingService
 
@@ -77,6 +85,11 @@ _READ_CHUNK = 1 << 16
 
 #: Outbound-queue sentinel telling a connection's writer task to stop.
 _CLOSE = object()
+
+
+def _line(payload: Dict[str, Any]) -> str:
+    """One wire line the transport writes itself (refusals, typed errors)."""
+    return json.dumps(payload) + "\n"
 
 
 @dataclass(frozen=True)
@@ -89,7 +102,6 @@ class NetConfig:
     max_connections: int = 64
     max_pending: int = 256  # server-wide admission depth
     inflight_per_connection: int = 32
-    pool_workers: int = 4  # threads answering queries off the event loop
     deadline_s: float = 30.0
     shutdown_timeout_s: float = 5.0
 
@@ -102,7 +114,6 @@ class NetConfig:
             "max_connections": self.max_connections,
             "max_pending": self.max_pending,
             "inflight_per_connection": self.inflight_per_connection,
-            "pool_workers": self.pool_workers,
             "deadline_s": self.deadline_s,
             "shutdown_timeout_s": self.shutdown_timeout_s,
         }
@@ -243,11 +254,8 @@ class NetServer:
         self._conn_seq = 0
         self._pending = 0  # admitted queries not yet responded, server-wide
         self._closing = False
-        self._executor: Optional[ThreadPoolExecutor] = None
-        # The service is not thread-safe (stats, LRU): the pool threads
-        # serialise on this lock; the pool still overlaps deadline waits
-        # and injected latency, which sleep before taking it.
-        self._service_lock = threading.Lock()
+        # The one thread that runs cold work (misses, aggregates).
+        self._owner: Optional[ThreadPoolExecutor] = None
         self._bus = service.bus
 
     # ------------------------------------------------------------------
@@ -255,9 +263,8 @@ class NetServer:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind and start accepting connections."""
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, self.config.pool_workers),
-            thread_name_prefix="repro-net",
+        self._owner = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-net-owner"
         )
         self._server = await asyncio.start_server(
             self._on_connection, self.config.host, self.config.port
@@ -299,10 +306,10 @@ class NetServer:
                         pass
                 break
             await asyncio.sleep(min(0.01, remaining))
-        if self._executor is not None:
-            # Don't wait for threads parked in injected latency sleeps;
-            # their results are already discarded.
-            self._executor.shutdown(wait=False, cancel_futures=True)
+        if self._owner is not None:
+            # Don't wait for an owner parked in an injected latency
+            # sleep; its result is already discarded.
+            self._owner.shutdown(wait=False, cancel_futures=True)
 
     # ------------------------------------------------------------------
     # connection handling
@@ -342,8 +349,8 @@ class NetServer:
     async def _refuse(self, writer, reason: str) -> None:
         """One error line, then close — for connections never admitted."""
         try:
-            payload = {"id": 0, "status": STATUS_ERROR, "error": reason}
-            writer.write((json.dumps(payload) + "\n").encode("utf-8"))
+            line = _line({"id": 0, "status": STATUS_ERROR, "error": reason})
+            writer.write(line.encode("utf-8"))
             await writer.drain()
         except (ConnectionError, OSError):
             pass
@@ -377,14 +384,16 @@ class NetServer:
                     self.stats.errors += 1
                     await self._enqueue(
                         conn,
-                        {
-                            "id": conn.seq,
-                            "status": STATUS_ERROR,
-                            "error": (
-                                "line exceeds the maximum line size "
-                                f"({self.config.max_line_bytes} bytes)"
-                            ),
-                        },
+                        _line(
+                            {
+                                "id": conn.seq,
+                                "status": STATUS_ERROR,
+                                "error": (
+                                    "line exceeds the maximum line size "
+                                    f"({self.config.max_line_bytes} bytes)"
+                                ),
+                            }
+                        ),
                     )
                     continue
                 await self._handle_line(conn, line)
@@ -402,7 +411,9 @@ class NetServer:
             self.stats.errors += 1
             await self._enqueue(
                 conn,
-                {"id": decoded.id, "status": STATUS_ERROR, "error": decoded.error},
+                _line(
+                    {"id": decoded.id, "status": STATUS_ERROR, "error": decoded.error}
+                ),
             )
             return
         if decoded.kind == "aggregate":
@@ -419,13 +430,15 @@ class NetServer:
                 self.stats.errors += 1
                 await self._enqueue(
                     conn,
-                    {
-                        "id": query.id,
-                        "session": ALL_SESSIONS,
-                        "status": STATUS_ERROR,
-                        "error": "wildcard query matched no sessions "
-                        "(nothing ingested)",
-                    },
+                    _line(
+                        {
+                            "id": query.id,
+                            "session": ALL_SESSIONS,
+                            "status": STATUS_ERROR,
+                            "error": "wildcard query matched no sessions "
+                            "(nothing ingested)",
+                        }
+                    ),
                 )
                 return
         else:
@@ -446,7 +459,7 @@ class NetServer:
             self.stats.received += 1
             self.stats.shed += 1
             response = self.service.shed(query)
-            await self._enqueue(conn, response.to_dict())
+            await self._enqueue(conn, encode_response_line(response))
             return
         # Bounded in-flight permits per connection: when they run out
         # the reader stops consuming this socket (read backpressure).
@@ -470,30 +483,31 @@ class NetServer:
         qid = query.id if query is not None else decoded.id
         try:
             remaining = deadline - loop.time()
-            payload: Dict[str, Any]
             try:
                 if remaining <= 0:
                     raise asyncio.TimeoutError
-                if query is not None:
-                    future = loop.run_in_executor(
-                        self._executor, self._dispatch_query, query
+                if query is None:
+                    aggregate = await self._on_owner(
+                        self._dispatch_aggregate, decoded.aggregate, remaining
                     )
-                    response = await asyncio.wait_for(future, timeout=remaining)
-                    payload = response.to_dict()
+                    line = encode_response_line(aggregate, line_id=decoded.id)
+                    self.stats.answered += 1
+                else:
+                    if self.service.is_cached(query):
+                        # A hit is a lookup: answer it right here rather
+                        # than queue it behind cold work on the owner.
+                        response = self.service.submit(query)
+                    else:
+                        response = await self._on_owner(
+                            self._dispatch_query, query, remaining
+                        )
+                    line = encode_response_line(response)
                     if response.status == STATUS_OK:
                         self.stats.answered += 1
                     elif response.status == STATUS_SHED:
                         self.stats.shed += 1
                     else:
                         self.stats.errors += 1
-                else:
-                    future = loop.run_in_executor(
-                        self._executor, self._dispatch_aggregate, decoded.aggregate
-                    )
-                    aggregate = await asyncio.wait_for(future, timeout=remaining)
-                    payload = {"id": decoded.id}
-                    payload.update(aggregate.to_dict())
-                    self.stats.answered += 1
             except asyncio.TimeoutError:
                 self.stats.deadline_exceeded += 1
                 self.stats.errors += 1
@@ -502,47 +516,54 @@ class NetServer:
                     f"{label_session!r} missed the "
                     f"{self.config.deadline_s:g}s deadline"
                 )
-                payload = {
-                    "id": qid,
-                    "session": label_session,
-                    "status": STATUS_ERROR,
-                    "error": error,
-                }
+                line = _line(
+                    {
+                        "id": qid,
+                        "session": label_session,
+                        "status": STATUS_ERROR,
+                        "error": error,
+                    }
+                )
                 self._publish_deadline(query, decoded)
             except Exception as exc:
                 # Nothing may escape a connection handler: whatever the
                 # compute path threw becomes a typed error response.
                 self.stats.errors += 1
-                payload = {
-                    "id": qid,
-                    "session": label_session,
-                    "status": STATUS_ERROR,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            await self._enqueue(conn, payload)
+                line = _line(
+                    {
+                        "id": qid,
+                        "session": label_session,
+                        "status": STATUS_ERROR,
+                        "error": f"{type(exc).__name__}: {exc}",
+                    }
+                )
+            await self._enqueue(conn, line)
         finally:
             self._pending -= 1
             conn.inflight.release()
 
+    async def _on_owner(self, fn, arg: Any, timeout: float) -> Any:
+        """Run ``fn(arg)`` on the owner thread, bounded by ``timeout``."""
+        future = asyncio.get_running_loop().run_in_executor(self._owner, fn, arg)
+        return await asyncio.wait_for(future, timeout=timeout)
+
     def _dispatch_query(self, query: QueryRequest) -> QueryResponse:
-        """Runs on a pool thread: chaos latency point, then the service."""
+        """Runs on the owner thread: chaos latency point, then the service."""
         fault_point("net.latency")
-        with self._service_lock:
-            return self.service.submit(query)
+        return self.service.submit(query)
 
     def _dispatch_aggregate(self, request: Any):
         fault_point("net.latency")
-        with self._service_lock:
-            return self.service.aggregate(request)
+        return self.service.aggregate(request)
 
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
-    async def _enqueue(self, conn: _Connection, payload: Dict[str, Any]) -> None:
-        """Queue one response line (bounded: write backpressure)."""
+    async def _enqueue(self, conn: _Connection, line: str) -> None:
+        """Queue one encoded response line (bounded: write backpressure)."""
         if conn.broken:
             return  # the peer is gone; responses have nowhere to go
-        await conn.outbound.put(payload)
+        await conn.outbound.put(line)
 
     async def _write_loop(self, conn: _Connection) -> None:
         while True:
@@ -551,9 +572,8 @@ class NetServer:
                 break
             if conn.broken:
                 continue  # drain without writing so producers never wedge
-            data = (json.dumps(item) + "\n").encode("utf-8")
             try:
-                data = filter_write("net.write", data)
+                data = filter_write("net.write", item.encode("utf-8"))
                 conn.writer.write(data)
                 await conn.writer.drain()
                 conn.responses += 1
@@ -594,7 +614,11 @@ class NetServer:
     # telemetry
     # ------------------------------------------------------------------
     def _publish(self, event) -> None:
+        if self.service.bus is not None:
+            self.service.publish(event)  # under the service lock
+            return
         if self._bus is None:
+            # A private bus, published to from the loop only.
             from ..telemetry import TelemetryBus
 
             self._bus = TelemetryBus()

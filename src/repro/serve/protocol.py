@@ -88,6 +88,9 @@ class QueryResponse:
     cached: bool = False
     latency_us: float = 0.0
     extras: Dict[str, Any] = field(default_factory=dict)
+    #: ``json.dumps(report)``, when the result cache already holds it —
+    #: :func:`encode_response_line` splices it in instead of re-encoding.
+    report_text: Optional[str] = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -153,9 +156,52 @@ def parse_queries_jsonl(lines: Iterable[str]) -> List[QueryRequest]:
     return queries
 
 
+#: The fields :meth:`QueryResponse.to_dict` writes up to the report.
+_FIXED_FIELDS = ("id", "session", "status", "cached", "latency_us", "report")
+
+
+def encode_response_line(response: Any, line_id: Optional[int] = None) -> str:
+    """One wire line for a response: ``json.dumps(to_dict()) + "\\n"``.
+
+    The single response encoder every front-end (TCP writer, stdin
+    daemon, :func:`responses_to_jsonl`) writes through.  A
+    :class:`QueryResponse` carrying ``report_text`` — a result-cache
+    entry's pre-encoded report — gets that text spliced in verbatim, so
+    a cached report is encoded once however often it is served; the
+    output is byte-identical to encoding the whole dict.  Anything else
+    with a ``to_dict()`` (an aggregate answer) is encoded whole;
+    ``line_id`` puts an ``"id"`` field in front, the wire form of an
+    aggregate, whose own dict carries none.
+    """
+    text = getattr(response, "report_text", None)
+    if text is None or response.report is None:
+        data = response.to_dict()
+        if line_id is not None:
+            data = {"id": line_id, **data}
+        return json.dumps(data) + "\n"
+    tail: Dict[str, Any] = {}
+    if response.error is not None:
+        tail["error"] = response.error
+    tail.update(response.extras)
+    if not tail.keys().isdisjoint(_FIXED_FIELDS):
+        # An extra overriding a fixed field keeps that field's slot.
+        return json.dumps(response.to_dict()) + "\n"
+    head = json.dumps(
+        {
+            "id": response.id,
+            "session": response.session,
+            "status": response.status,
+            "cached": response.cached,
+            "latency_us": response.latency_us,
+        }
+    )
+    rest = ", " + json.dumps(tail)[1:] if tail else "}"
+    return head[:-1] + ', "report": ' + text + rest + "\n"
+
+
 def responses_to_jsonl(responses: Iterable[QueryResponse]) -> str:
     """Serialise responses as JSONL text (one response per line)."""
-    return "\n".join(json.dumps(r.to_dict()) for r in responses) + "\n"
+    return "".join(encode_response_line(r) for r in responses) or "\n"
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,13 @@ Scale-out structure:
 
 * **Result LRU** — answered wire payloads are cached on
   ``(session, backend, window, owners)``; an unchanged question is a
-  dictionary lookup, never a recomputation.
+  dictionary lookup, never a recomputation.  Each entry carries the
+  report's pre-encoded JSON text too (:class:`CachedReport`), so a
+  front-end writes a hit without re-encoding it.
+* **Thread safety** — one short service lock guards the cache, the
+  stats and the bus; analyzer work runs outside it under a separate
+  compute lock.  A front-end may therefore answer cache hits on one
+  thread while another computes misses (see :mod:`repro.serve.net`).
 * **Shard-per-worker** — sessions hash-partition over ``workers``
   shards (stable crc32 of the session name); with ``workers > 1`` a
   batch's cache misses fan out through the existing
@@ -35,11 +41,13 @@ Scale-out structure:
 
 from __future__ import annotations
 
+import json
+import threading
 import time
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..faults import RetriesExhaustedError, fault_point, run_with_retry
 from ..offline.analyzer import OfflineAnalyzer
@@ -224,30 +232,46 @@ class SessionRecord:
         }
 
 
+class CachedReport(NamedTuple):
+    """One result-cache entry: the report payload and its JSON text."""
+
+    report: Dict[str, Any]
+    text: str
+
+
 class ResultLRU:
-    """Bounded answered-payload cache keyed on the query identity."""
+    """Bounded answered-report cache keyed on the query identity.
+
+    Each entry keeps the report's ``json.dumps`` text beside the dict,
+    so a hit is written to the wire without re-encoding, and the text
+    is evicted with its entry.
+    """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._entries: "OrderedDict[Tuple[Any, ...], Dict[str, Any]]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[Any, ...], CachedReport]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: Tuple[Any, ...]) -> Optional[Dict[str, Any]]:
-        """The cached payload, refreshed to most-recent, or None."""
-        payload = self._entries.get(key)
-        if payload is None:
+    def __contains__(self, key: Tuple[Any, ...]) -> bool:
+        """Whether ``key`` is cached — a peek: no recency, no counters."""
+        return key in self._entries
+
+    def get(self, key: Tuple[Any, ...]) -> Optional[CachedReport]:
+        """The cached entry, refreshed to most-recent, or None."""
+        entry = self._entries.get(key)
+        if entry is None:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return payload
+        return entry
 
-    def store(self, key: Tuple[Any, ...], payload: Dict[str, Any]) -> None:
-        """Record one answered payload, evicting the least recent."""
+    def store(self, key: Tuple[Any, ...], entry: CachedReport) -> None:
+        """Record one answered report, evicting the least recent."""
         if self.capacity <= 0:
             return
-        self._entries[key] = payload
+        self._entries[key] = entry
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -329,6 +353,19 @@ class ProfilingService:
             from ..telemetry import TelemetryBus
 
             self.bus = TelemetryBus()
+        # One short lock guards every mutation of the cache, the stats
+        # and the bus, so a front-end may answer cache hits on one
+        # thread while another computes.  The analyzer work itself —
+        # fault-in, analyzer build, describe, aggregate partials — runs
+        # outside it, serialised by the compute lock.
+        self._lock = threading.RLock()
+        self._compute_lock = threading.Lock()
+
+    def publish(self, event: Any) -> None:
+        """Publish one event on the service's bus (no-op without one)."""
+        if self.bus is not None:
+            with self._lock:
+                self.bus.publish(event)
 
     # ------------------------------------------------------------------
     # ingestion
@@ -347,11 +384,12 @@ class ProfilingService:
         """
         record = SessionRecord(name, trace, source, digest=digest)
         self.sessions[name] = record
-        self.stats.ingested += 1
+        with self._lock:
+            self.stats.ingested += 1
         if self.bus is not None:
             from ..telemetry import SessionIngestedEvent
 
-            self.bus.publish(
+            self.publish(
                 SessionIngestedEvent(
                     time=record.captured_at,
                     session=name,
@@ -366,7 +404,8 @@ class ProfilingService:
             except OSError:
                 # The session simply stays in memory; spilling is a
                 # memory optimisation, not a correctness requirement.
-                self.stats.spill_failures += 1
+                with self._lock:
+                    self.stats.spill_failures += 1
         return record
 
     def _session_name(self, ingested: IngestedTrace) -> str:
@@ -405,7 +444,8 @@ class ProfilingService:
             names.append(name)
         if errors:
             self.ingest_errors.extend(errors)
-            self.stats.ingest_errors += len(errors)
+            with self._lock:
+                self.stats.ingest_errors += len(errors)
         return names
 
     def restore_sessions(self) -> List[str]:
@@ -435,11 +475,12 @@ class ProfilingService:
                     f"artifact {digest[:16]}): {exc}"
                 ) from exc
             self.sessions[name] = record
-            self.stats.ingested += 1
+            with self._lock:
+                self.stats.ingested += 1
             if self.bus is not None:
                 from ..telemetry import SessionIngestedEvent
 
-                self.bus.publish(
+                self.publish(
                     SessionIngestedEvent(
                         time=record.captured_at,
                         session=name,
@@ -466,15 +507,32 @@ class ProfilingService:
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
+    def is_cached(self, query: QueryRequest) -> bool:
+        """Whether ``query``'s answer is cached — a peek that counts
+        neither a hit nor a miss.
+
+        Front-ends use it to route a query: a cached one is cheap enough
+        to :meth:`submit` anywhere.  Should the entry be evicted before
+        that submit, the submit simply computes (correct, just slower).
+        """
+        return query.key() in self.cache
+
     def submit(self, query: QueryRequest) -> QueryResponse:
-        """Answer one query in-process (cache first, then compute)."""
+        """Answer one query in-process (cache first, then compute).
+
+        Thread-safe: cache and stats are touched under the service lock,
+        the compute under the compute lock.
+        """
         started = time.perf_counter()
-        self.stats.received += 1
-        cached_payload = self.cache.get(query.key())
-        if cached_payload is not None:
-            return self._finish(query, cached_payload, started, cached=True)
+        key = query.key()
+        with self._lock:
+            self.stats.received += 1
+            entry = self.cache.get(key)
+        if entry is not None:
+            return self._finish(query, entry, started, cached=True)
         try:
-            payload = self._answer(query)
+            with self._compute_lock:
+                report = self._answer(query)
         except UnknownSessionError as exc:
             return self._finish_error(query, str(exc), started)
         except (UnknownBackendError, ValueError) as exc:
@@ -485,8 +543,10 @@ class ProfilingService:
             return self._finish_error(
                 query, f"{type(exc).__name__}: {exc}", started
             )
-        self.cache.store(query.key(), payload)
-        return self._finish(query, payload, started, cached=False)
+        entry = CachedReport(report, json.dumps(report))
+        with self._lock:
+            self.cache.store(key, entry)
+        return self._finish(query, entry, started, cached=False)
 
     def aggregate(self, request: "AggregateRequest") -> "AggregateResponse":
         """Answer one fleet aggregate across this service's sessions.
@@ -499,8 +559,10 @@ class ProfilingService:
         """
         from ..aggregate.engine import run_aggregate
 
-        self.stats.aggregates += 1
-        return run_aggregate(self, request)
+        with self._lock:
+            self.stats.aggregates += 1
+        with self._compute_lock:
+            return run_aggregate(self, request)
 
     def serve_batch(
         self,
@@ -553,13 +615,12 @@ class ProfilingService:
         responses: List[QueryResponse] = []
         misses_by_shard: Dict[int, List[QueryRequest]] = {}
         for query in admitted:
-            self.stats.received += 1
             started = time.perf_counter()
-            cached_payload = self.cache.get(query.key())
-            if cached_payload is not None:
-                responses.append(
-                    self._finish(query, cached_payload, started, cached=True)
-                )
+            with self._lock:
+                self.stats.received += 1
+                entry = self.cache.get(query.key())
+            if entry is not None:
+                responses.append(self._finish(query, entry, started, cached=True))
                 continue
             if query.session not in self.sessions:
                 responses.append(
@@ -570,7 +631,8 @@ class ProfilingService:
                 continue
             misses_by_shard.setdefault(self.shard_of(query.session), []).append(query)
         if misses_by_shard:
-            responses.extend(self._dispatch_shards(misses_by_shard))
+            with self._compute_lock:
+                responses.extend(self._dispatch_shards(misses_by_shard))
         return responses
 
     def _dispatch_shards(
@@ -655,7 +717,9 @@ class ProfilingService:
                 if response.ok and response.report is not None:
                     # The miss was already counted when _drain probed the
                     # cache; just fold the remote answer in.
-                    self.cache.store(query.key(), response.report)
+                    entry = CachedReport(response.report, json.dumps(response.report))
+                    with self._lock:
+                        self.cache.store(query.key(), entry)
                 self._note(query, response)
                 responses.append(response)
         return responses
@@ -671,7 +735,7 @@ class ProfilingService:
     def _finish(
         self,
         query: QueryRequest,
-        payload: Dict[str, Any],
+        entry: CachedReport,
         started: float,
         cached: bool,
     ) -> QueryResponse:
@@ -679,7 +743,8 @@ class ProfilingService:
             id=query.id,
             session=query.session,
             status=STATUS_OK,
-            report=payload,
+            report=entry.report,
+            report_text=entry.text,
             cached=cached,
             latency_us=(time.perf_counter() - started) * 1e6,
         )
@@ -706,13 +771,14 @@ class ProfilingService:
         shed through the same accounting path so
         ``received == answered + errors + shed`` holds service-wide.
         """
-        self.stats.received += 1
-        self.stats.shed += 1
+        with self._lock:
+            self.stats.received += 1
+            self.stats.shed += 1
         if self.bus is not None:
             from ..telemetry import QueryShedEvent
 
             record = self.sessions.get(query.session)
-            self.bus.publish(
+            self.publish(
                 QueryShedEvent(
                     time=record.captured_at if record else 0.0,
                     session=query.session,
@@ -729,26 +795,29 @@ class ProfilingService:
 
     def _note(self, query: QueryRequest, response: QueryResponse) -> None:
         """Fold one served/errored response into stats + telemetry."""
-        if response.status == STATUS_OK:
-            self.stats.answered += 1
-            backend = query.report.backend
-            self.stats.by_backend[backend] = self.stats.by_backend.get(backend, 0) + 1
-        else:
-            self.stats.errors += 1
+        event = None
         if self.bus is not None:
             from ..telemetry import QueryServedEvent
 
             record = self.sessions.get(query.session)
-            self.bus.publish(
-                QueryServedEvent(
-                    time=record.captured_at if record else 0.0,
-                    session=query.session,
-                    backend=query.report.backend,
-                    status=response.status,
-                    cached=response.cached,
-                    latency_us=response.latency_us,
-                )
+            event = QueryServedEvent(
+                time=record.captured_at if record else 0.0,
+                session=query.session,
+                backend=query.report.backend,
+                status=response.status,
+                cached=response.cached,
+                latency_us=response.latency_us,
             )
+        with self._lock:
+            if response.status == STATUS_OK:
+                self.stats.answered += 1
+                by_backend = self.stats.by_backend
+                backend = query.report.backend
+                by_backend[backend] = by_backend.get(backend, 0) + 1
+            else:
+                self.stats.errors += 1
+            if event is not None:
+                self.bus.publish(event)
 
     # ------------------------------------------------------------------
     # reporting

@@ -9,7 +9,10 @@ Two contracts, pinned with hypothesis:
   garbage, truncation, and type confusion into a typed ``error`` result
   and never lets an exception escape (an escaping exception would kill
   a connection handler), and `LineAssembler` yields the same framing
-  events for a byte stream regardless of how the chunks split it.
+  events for a byte stream regardless of how the chunks split it;
+* **encoder byte identity** — `encode_response_line`, which splices a
+  cached report's pre-encoded text into the line, writes exactly the
+  bytes of ``json.dumps(response.to_dict()) + "\n"``.
 """
 
 import json
@@ -18,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregate import AggregateRequest
+from repro.aggregate.engine import AggregateResponse
 from repro.aggregate.request import GROUP_BYS, OPS
 from repro.reports import BACKENDS, ReportRequest
 from repro.serve import (
@@ -25,6 +29,8 @@ from repro.serve import (
     QueryRequest,
     QueryResponse,
     decode_request_line,
+    encode_response_line,
+    responses_to_jsonl,
 )
 
 # ----------------------------------------------------------------------
@@ -115,6 +121,74 @@ def query_responses(draw):
     )
 
 
+#: Numbers whose JSON spelling is easy to get wrong by hand.
+_edge_numbers = st.one_of(
+    st.sampled_from((-0.0, 0.0, 1e-300, 5e-324, 1e300, 2**53 + 1, 2**64, -(10**30))),
+    st.floats(),  # NaN and the infinities included: json.dumps spells them
+    st.integers(),
+)
+
+_json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        _edge_numbers,
+        st.text(max_size=12),  # non-ASCII and control characters too
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+_json_objects = st.dictionaries(st.text(max_size=8), _json_values, max_size=5)
+
+
+@st.composite
+def wire_responses(draw):
+    """Responses as the serving paths build them, edge values included."""
+    status = draw(st.sampled_from(("ok", "shed", "error")))
+    report = draw(_json_objects) if status == "ok" else None
+    precoded = report is not None and draw(st.booleans())
+    # Extras may shadow fixed fields: the encoder must keep their slots.
+    extras = draw(
+        st.dictionaries(
+            st.one_of(
+                st.sampled_from(("id", "report", "error", "status", "shard")),
+                st.text(max_size=8),
+            ),
+            _json_values,
+            max_size=3,
+        )
+    )
+    return QueryResponse(
+        id=draw(st.integers()),
+        session=draw(st.text(max_size=24)),
+        status=status,
+        report=report,
+        error=draw(st.one_of(st.none(), st.text(max_size=32))),
+        cached=draw(st.booleans()),
+        latency_us=draw(_edge_numbers),
+        extras=extras,
+        report_text=json.dumps(report) if precoded else None,
+    )
+
+
+@st.composite
+def aggregate_responses(draw):
+    return AggregateResponse(
+        status=draw(st.sampled_from(("ok", "error"))),
+        request=draw(aggregate_requests()),
+        payload=draw(st.one_of(st.none(), _json_objects)),
+        error=draw(st.one_of(st.none(), st.text(max_size=32))),
+        latency_us=draw(_edge_numbers),
+        memoized=draw(st.integers(min_value=0, max_value=500)),
+        computed=draw(st.integers(min_value=0, max_value=500)),
+        shards=draw(st.integers(min_value=0, max_value=8)),
+    )
+
+
 def _chunked(data: bytes, cuts):
     """Split ``data`` at the (sorted, de-duplicated) cut offsets."""
     offsets = sorted({min(c, len(data)) for c in cuts})
@@ -180,6 +254,33 @@ class TestRoundTrips:
             decode_request_line(line.decode("utf-8")) for _, line in events
         ]
         assert [d.query for d in decoded] == queries
+
+
+# ----------------------------------------------------------------------
+# the response encoder: spliced text, byte-identical lines
+# ----------------------------------------------------------------------
+class TestLineEncoder:
+    @given(response=wire_responses())
+    @settings(max_examples=400, deadline=None)
+    def test_query_response_bytes_match_json_dumps(self, response):
+        expected = (json.dumps(response.to_dict()) + "\n").encode("utf-8")
+        assert encode_response_line(response).encode("utf-8") == expected
+
+    @given(response=aggregate_responses(), line_id=st.integers())
+    @settings(max_examples=200, deadline=None)
+    def test_aggregate_response_bytes_match_json_dumps(self, response, line_id):
+        data = response.to_dict()
+        assert encode_response_line(response) == json.dumps(data) + "\n"
+        assert (
+            encode_response_line(response, line_id=line_id)
+            == json.dumps({"id": line_id, **data}) + "\n"
+        )
+
+    @given(responses=st.lists(wire_responses(), max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_jsonl_matches_per_line_json_dumps(self, responses):
+        expected = "\n".join(json.dumps(r.to_dict()) for r in responses) + "\n"
+        assert responses_to_jsonl(responses) == expected
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,9 @@ The contracts under test (see ``docs/SERVING.md``, "Network serving"):
 * one misbehaving connection — a mid-line disconnect, a slowloris
   writer — never wedges the others;
 * deadlines surface as typed errors naming the query, never hangs;
+* cache hits are answered on the event loop, never queued behind cold
+  work on the owner thread, and the service's counters lose no update
+  between the two threads;
 * graceful shutdown flushes in-flight responses before closing;
 * payloads served over TCP are byte-identical to the in-process path.
 
@@ -20,6 +23,9 @@ loop via ``asyncio.run``.
 
 import asyncio
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -37,6 +43,8 @@ from repro.serve import (
     NetServer,
     ProfilingService,
     QueryRequest,
+    ResultLRU,
+    ServeStats,
     ServiceConfig,
 )
 from repro.telemetry import capture
@@ -92,11 +100,17 @@ def run_net(service, config, scenario):
     return asyncio.run(main())
 
 
-async def _raw_roundtrip(host, port, lines, read_all=True):
-    """Write raw bytes lines, half-close, read response lines to EOF."""
+async def _raw_roundtrip(host, port, lines, read_all=True, pause_s=0.0):
+    """Write raw bytes lines, half-close, read response lines to EOF.
+
+    ``pause_s`` > 0 sends each element as its own burst, that long apart.
+    """
     reader, writer = await asyncio.open_connection(host, port)
     for line in lines:
         writer.write(line)
+        if pause_s:
+            await writer.drain()
+            await asyncio.sleep(pause_s)
     await writer.drain()
     writer.write_eof()
     responses = []
@@ -107,6 +121,23 @@ async def _raw_roundtrip(host, port, lines, read_all=True):
         responses.append(json.loads(line))
     writer.close()
     return responses
+
+
+class _Yielding:
+    """Yields the GIL inside every attribute write, widening each
+    read-modify-write so two threads without a lock lose updates."""
+
+    def __setattr__(self, name, value):
+        time.sleep(0)
+        super().__setattr__(name, value)
+
+
+class _YieldingStats(_Yielding, ServeStats):
+    pass
+
+
+class _YieldingLRU(_Yielding, ResultLRU):
+    pass
 
 
 # ----------------------------------------------------------------------
@@ -150,6 +181,68 @@ class TestConcurrentClients:
             service.stats.received
             == service.stats.answered + service.stats.errors + service.stats.shed
         )
+
+    def test_accounting_closes_across_loop_and_owner_threads(self, service):
+        """Sheds on the loop, hits on the loop and misses on the owner
+        thread all count into one set of service stats, none lost."""
+        backends = ("energy", "eandroid", "collateral")
+        service.stats = _YieldingStats()
+        service.cache = _YieldingLRU(service.config.cache_entries)
+        for backend in backends:  # hot keys the loop answers inline
+            service.submit(_query(0, backend))
+        base = (service.stats.received, service.stats.answered)
+        calls = []
+        calls_lock = threading.Lock()
+        submit = service.submit
+
+        def counted_submit(query):
+            with calls_lock:
+                calls.append(query.id)
+            return submit(query)
+
+        service.submit = counted_submit
+        hits_before, misses_before = service.cache.hits, service.cache.misses
+
+        def bursts_for(client):
+            lines = []
+            for i in range(1, 25):
+                doc = {"id": i, "session": "scene", "backend": backends[i % 3]}
+                if i % 3 == 0:  # a window nobody asked before: a miss
+                    doc["end"] = 1.0 + client * 100 + i
+                lines.append((json.dumps(doc) + "\n").encode("utf-8"))
+            return [b"".join(lines[i : i + 6]) for i in range(0, 24, 6)]
+
+        async def scenario(server, host, port):
+            return await asyncio.gather(
+                *(
+                    _raw_roundtrip(host, port, bursts_for(c), pause_s=0.005)
+                    for c in range(8)
+                )
+            )
+
+        # Switch threads often so an unguarded read-modify-write on the
+        # stats loses updates if a lock is missing.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            server, results = run_net(service, NetConfig(max_pending=16), scenario)
+        finally:
+            sys.setswitchinterval(interval)
+        net, svc = server.stats, service.stats
+        assert sum(len(r) for r in results) == 8 * 24
+        assert net.shed >= 1
+        assert net.received == 8 * 24
+        assert net.received == net.answered + net.errors + net.shed
+        assert svc.received == svc.answered + svc.errors + svc.shed
+        assert (svc.received - base[0], svc.answered - base[1]) == (
+            net.received,
+            net.answered,
+        )
+        assert (svc.errors, svc.shed) == (net.errors, net.shed)
+        hits = service.cache.hits - hits_before
+        misses = service.cache.misses - misses_before
+        assert hits + misses == len(calls) == net.received - net.shed
+        assert hits >= 1 and misses >= 1, (hits, misses)
 
     def test_tcp_payloads_byte_identical_to_in_process(self, service):
         queries = [
@@ -340,7 +433,7 @@ class TestConnectionIsolation:
 # ----------------------------------------------------------------------
 class TestDeadlinesAndShedding:
     def test_deadline_returns_typed_error_naming_the_query(self, service):
-        config = NetConfig(deadline_s=0.2, pool_workers=1)
+        config = NetConfig(deadline_s=0.2)
 
         async def scenario(server, host, port):
             async with AsyncServiceClient(host, port) as client:
@@ -357,8 +450,38 @@ class TestDeadlinesAndShedding:
             server.stats.answered + server.stats.errors + server.stats.shed
         )
 
+    def test_cache_hit_is_not_queued_behind_cold_work(self, service):
+        """A stalled owner thread delays misses, never a cached answer."""
+        service.submit(_query(1, "energy"))  # warm the hot key
+        cold_line = b'{"id": 2, "session": "scene", "backend": "eandroid"}\n'
+
+        async def scenario(server, host, port):
+            cold_reader, cold_writer = await asyncio.open_connection(host, port)
+            cold_writer.write(cold_line)
+            await cold_writer.drain()
+            cold = asyncio.ensure_future(cold_reader.readline())
+            await asyncio.sleep(0.05)  # the miss now sleeps on the owner
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            async with AsyncServiceClient(host, port) as client:
+                hit = await client.submit(_query(3, "energy"))
+            elapsed = loop.time() - started
+            cold_first = cold.done()
+            cold_response = json.loads(await asyncio.wait_for(cold, 10.0))
+            cold_writer.close()
+            return hit, elapsed, cold_first, cold_response
+
+        with activate(_latency_plan(1000.0, max_injections=None), seed=0):
+            _, (hit, elapsed, cold_first, cold) = run_net(
+                service, NetConfig(), scenario
+            )
+        assert hit.status == STATUS_OK and hit.cached
+        assert elapsed < 0.2
+        assert not cold_first  # the hit overtook the stalled miss
+        assert cold["status"] == STATUS_OK and not cold["cached"]
+
     def test_shed_resubmit_recovers_through_the_retry_policy(self, service):
-        config = NetConfig(max_pending=1, pool_workers=1)
+        config = NetConfig(max_pending=1)
         slow_line = b'{"id": 1, "session": "scene", "backend": "energy"}\n'
         policy = RetryPolicy(base_delay_s=0.4, multiplier=1.0, max_delay_s=1.0)
 
@@ -385,7 +508,7 @@ class TestDeadlinesAndShedding:
         assert server.stats.shed >= 1
 
     def test_still_shed_after_bounded_resubmits_is_typed(self, service):
-        config = NetConfig(max_pending=1, pool_workers=1)
+        config = NetConfig(max_pending=1)
         slow_line = b'{"id": 1, "session": "scene", "backend": "energy"}\n'
 
         async def scenario(server, host, port):
@@ -425,7 +548,7 @@ class TestDeadlinesAndShedding:
 class TestGracefulShutdown:
     def test_shutdown_flushes_in_flight_responses(self, service):
         async def scenario():
-            server = NetServer(service, NetConfig(pool_workers=1))
+            server = NetServer(service, NetConfig())
             await server.start()
             host, port = server.address
             reader, writer = await asyncio.open_connection(host, port)
@@ -468,7 +591,7 @@ class TestGracefulShutdown:
 # ----------------------------------------------------------------------
 class TestNetTelemetry:
     def test_connection_and_deadline_events_are_published(self, service):
-        config = NetConfig(deadline_s=0.2, pool_workers=1)
+        config = NetConfig(deadline_s=0.2)
 
         async def scenario(server, host, port):
             async with AsyncServiceClient(host, port) as client:

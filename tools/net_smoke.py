@@ -15,6 +15,11 @@ writes its share, half-closes, and reads to EOF), then asserts:
   in-process ``--queries`` path over the same corpus (ids differ by
   design: the server expands ``"*"`` preserving the original line id,
   the batch client assigns fresh ids — payloads must not);
+* every response line is exactly ``json.dumps(json.loads(line)) +
+  "\\n"`` — the bytes the server's encoder must write, whether it
+  splices a cached report's pre-encoded text or encodes the whole
+  response (the query file repeats its keys, so most answers are
+  cache hits);
 * SIGINT shuts the server down gracefully (exit code 0, final
   ``net stats`` line on stderr).
 
@@ -101,7 +106,13 @@ async def run_client(
             raw = await asyncio.wait_for(reader.readline(), timeout=timeout_s)
             if not raw:
                 return responses
-            responses.append(json.loads(raw))
+            line = raw.decode("utf-8")
+            doc = json.loads(line)
+            if line != json.dumps(doc) + "\n":
+                raise SystemExit(
+                    f"response line is not json.dumps bytes: {line[:200]!r}"
+                )
+            responses.append(doc)
 
     # Read concurrently with writing: a client that writes its whole
     # share first can deadlock against server write backpressure once
