@@ -1,8 +1,8 @@
 """Fleet-scale scatter-gather aggregation over profiling sessions.
 
 The cross-session counterpart of the per-session Report API: a typed
-:class:`AggregateRequest` selects sessions by ``fnmatch`` pattern, fans
-per-session mergeable partials out through the exec engine, and gathers
+:class:`AggregateRequest` selects sessions by ``fnmatch`` pattern,
+computes one mergeable partial per session in-process, and gathers
 them into one versioned ``repro.aggregate/1`` payload — with store
 memoization of partials and chaos-plane coverage of the dispatch and
 merge sites.  See ``docs/AGGREGATION.md``.

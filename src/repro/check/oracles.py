@@ -392,7 +392,7 @@ def _served_report_equivalence(
     from ..store import decode_trace, encode_trace
 
     out: List[OracleViolation] = []
-    service = ProfilingService(ServiceConfig(workers=1, telemetry=False))
+    service = ProfilingService(ServiceConfig(telemetry=False))
     live_trace = capture_trace(system, ea)
     service.ingest_trace("oracle", live_trace, "fastpath oracle")
     service.ingest_trace(

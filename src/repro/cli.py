@@ -32,8 +32,8 @@ Commands:
 * ``serve`` — the long-lived energy query service: ``--batch PATH``
   ingests traces (file / JSONL stream / directory / check corpus),
   ``--queries FILE`` answers a JSONL query stream in one shot,
-  ``--daemon`` serves JSONL queries from stdin to stdout;
-  ``--workers N`` shards sessions over engine worker processes,
+  ``--daemon`` serves JSONL queries from stdin to stdout (the TCP
+  front-end's line path, answered synchronously),
   ``--queue``/``--burst`` control admission, ``--save DIR`` writes
   ``manifest.json`` + ``responses.jsonl``; ``--store DIR`` runs the
   service against an artifact store (digest-memoized corpus replay,
@@ -423,13 +423,11 @@ def _serve_run(args: argparse.Namespace) -> int:
         ServiceConfig(
             max_queue=args.queue,
             cache_entries=args.cache_entries,
-            workers=args.workers,
             telemetry=True,
             store_dir=args.store or None,
             spill=args.spill,
         )
     )
-    client = ServiceClient(service)
     if args.restore:
         if not args.store:
             print("--restore needs --store DIR", file=sys.stderr)
@@ -460,7 +458,7 @@ def _serve_run(args: argparse.Namespace) -> int:
         except (OSError, ProtocolError) as exc:
             print(f"cannot load queries: {exc}", file=sys.stderr)
             return 2
-        expanded = client.expand(queries)
+        expanded = ServiceClient(service).expand(queries)
         responses = service.serve_batch(expanded, burst=args.burst)
         answered = sum(r.ok for r in responses)
         shed = sum(r.status == STATUS_SHED for r in responses)
@@ -478,7 +476,7 @@ def _serve_run(args: argparse.Namespace) -> int:
         if code != 0:
             return code
     elif args.daemon:
-        _serve_daemon(service, client)
+        _serve_daemon(service)
 
     manifest = service.manifest()
     if args.save:
@@ -506,59 +504,32 @@ def _serve_run(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _serve_daemon(service, client) -> None:
+def _serve_daemon(service) -> None:
     """JSONL request/response loop on stdin/stdout (until EOF).
 
-    A line carrying an ``op`` field is a fleet aggregate
-    (:class:`~repro.aggregate.AggregateRequest`); anything else is a
-    per-session :class:`~repro.serve.QueryRequest`.  Lines longer than
-    ``MAX_LINE_BYTES`` and lines that fail to parse both come back as
-    typed ``error`` responses — the same degradation contract as the
-    TCP front-end (both go through ``decode_request_line``).
+    Every line takes the TCP front-end's line path
+    (:func:`repro.serve.net.route_line`): the same size guard, comment
+    skip, typed error lines, ``"*"`` expansion echoing the line's ``id``
+    and aggregate routing.  The work is answered synchronously, in line
+    order, straight through the service.
     """
-    import json
+    from .serve import NetStats, encode_response_line
+    from .serve.net import route_line
 
-    from .serve import MAX_LINE_BYTES, decode_request_line, encode_response_line
-
+    stats = NetStats()
     seq = 0
     for raw in sys.stdin:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        seq += 1
-        if len(raw.encode("utf-8")) > MAX_LINE_BYTES:
-            sys.stdout.write(
-                json.dumps(
-                    {
-                        "id": seq,
-                        "status": "error",
-                        "error": (
-                            "line exceeds the maximum line size "
-                            f"({MAX_LINE_BYTES} bytes)"
-                        ),
-                    }
-                )
-                + "\n"
-            )
-            sys.stdout.flush()
-            continue
-        decoded = decode_request_line(line, default_id=seq)
-        if decoded.kind == "error":
-            sys.stdout.write(
-                json.dumps(
-                    {"id": decoded.id, "status": "error", "error": decoded.error}
-                )
-                + "\n"
-            )
-            sys.stdout.flush()
-            continue
-        if decoded.kind == "aggregate":
-            response = service.aggregate(decoded.aggregate)
-            sys.stdout.write(encode_response_line(response, line_id=decoded.id))
-            sys.stdout.flush()
-            continue
-        for expanded in client.expand([decoded.query]):
-            sys.stdout.write(encode_response_line(service.submit(expanded)))
+        seq, error, work = route_line(
+            service, raw.rstrip("\n").encode("utf-8"), seq, stats
+        )
+        if error is not None:
+            sys.stdout.write(error)
+        for decoded, query in work:
+            if query is None:
+                response = service.aggregate(decoded.aggregate)
+                sys.stdout.write(encode_response_line(response, line_id=decoded.id))
+            else:
+                sys.stdout.write(encode_response_line(service.submit(query)))
         sys.stdout.flush()
 
 
@@ -630,11 +601,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     from .serve import ProfilingService, ServiceConfig
 
     service = ProfilingService(
-        ServiceConfig(
-            workers=args.workers,
-            telemetry=False,
-            store_dir=args.store or None,
-        )
+        ServiceConfig(telemetry=False, store_dir=args.store or None)
     )
     if args.restore:
         if not args.store:
@@ -688,9 +655,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     missing = payload.get("missing_sessions", [])
     print(
         f"aggregated {len(payload.get('sessions', []))} session(s) "
-        f"({response.memoized} memoized, {response.computed} computed"
-        + (f", {response.shards} shard(s)" if response.shards else "")
-        + ")"
+        f"({response.memoized} memoized, {response.computed} computed)"
         + (f"; partial — missing: {', '.join(missing)}" if missing else ""),
         file=sys.stderr,
     )
@@ -1097,12 +1062,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-connection in-flight query cap for --listen (default 32)",
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="shard sessions over N engine worker processes (default: in-process)",
-    )
-    serve.add_argument(
         "--queue",
         type=int,
         default=256,
@@ -1210,12 +1169,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         help="bin width in joules for --op histogram",
-    )
-    aggregate.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="scatter shards over N engine worker processes",
     )
     aggregate.add_argument(
         "--out", default="", help="write the repro.aggregate/1 payload here"

@@ -16,9 +16,7 @@ from .fig8 import Fig8Result, run_fig8
 from .fig9 import Fig9Result, PanelResult, run_fig9
 from .fig10 import Fig10Result, run_fig10
 from .fig11 import Fig11Result, run_fig11
-from .aggregate import AggregateShardResult, run_aggregate_shard
 from .fuzz import FuzzBatchResult, run_fuzz_batch
-from .serve import ServeShardResult, run_serve_shard
 from .registry import (
     REGISTRY,
     ExperimentOutcome,
@@ -47,8 +45,6 @@ __all__ = [
     "run_efficiency",
     "run_fuzz_batch",
     "run_bench_job",
-    "run_serve_shard",
-    "run_aggregate_shard",
     "run_all",
     "run_evaluation",
     "save_outcomes",
@@ -65,8 +61,6 @@ __all__ = [
     "EfficiencyResult",
     "FuzzBatchResult",
     "BenchJobResult",
-    "ServeShardResult",
-    "AggregateShardResult",
     "ExperimentOutcome",
     "ExperimentResultMixin",
     "ExperimentSpec",

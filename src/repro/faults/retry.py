@@ -2,9 +2,9 @@
 
 Transient failures — an injected io-error, a flaky disk, a briefly
 broken pool — are retried under one :class:`RetryPolicy` shape
-everywhere (ResultCache store reads, serve shard dispatch, spilled-
-session restore) so the robustness behaviour is analysable in one
-place:
+everywhere (ResultCache store reads, aggregate partial dispatch,
+spilled-session restore) so the robustness behaviour is analysable in
+one place:
 
 * the *backoff schedule* is pure and monotone non-decreasing —
   ``base_delay_s * multiplier**attempt`` capped at ``max_delay_s``;

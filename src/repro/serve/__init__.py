@@ -4,8 +4,9 @@ Ingest device traces (files, JSONL streams, directories, the check
 corpus) into sessions once; answer ``energy`` / ``batterystats`` /
 ``powertutor`` / ``eandroid`` / ``collateral`` report queries many
 times, through the unified :mod:`repro.reports` API, with an LRU result
-cache, shard-per-worker fan-out over :mod:`repro.exec`, and explicit
-backpressure.  See ``docs/SERVING.md``.
+cache and explicit backpressure.  One in-process core answers every
+front-end: ``--queries`` batches, the stdin daemon and the TCP server
+(whose line path the daemon shares).  See ``docs/SERVING.md``.
 """
 
 from .client import QueryFailedError, ServiceClient

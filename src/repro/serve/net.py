@@ -11,9 +11,11 @@ Design (every guarantee here is pinned by ``tests/test_serve_net.py``):
 * **One line in, at least one line out.**  Every complete request line
   produces exactly one response — one per matched session for the
   ``"*"`` wildcard (expanded server-side, echoing the line's ``id``) —
-  and a malformed, oversized, or unparseable line produces a typed
-  ``status: error`` response.  Nothing is silently dropped, and no
-  exception escapes a connection handler.
+  and a malformed, oversized, or unparseable line, or a wildcard that
+  matches nothing, produces a typed ``status: error`` response.
+  Nothing is silently dropped, and no exception escapes a connection
+  handler.  :func:`route_line` is that line path; the stdin daemon
+  (``repro serve --daemon``) runs every line through it too.
 * **Read backpressure.**  Each connection holds a bounded in-flight
   permit pool (:attr:`NetConfig.inflight_per_connection`); when a
   client has that many queries outstanding the server simply stops
@@ -59,7 +61,7 @@ import asyncio
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..faults import fault_point, filter_read, filter_write
@@ -219,6 +221,62 @@ class LineAssembler:
         self._skipping = False
 
 
+def route_line(
+    service: ProfilingService,
+    raw: Optional[bytes],
+    seq: int,
+    stats: NetStats,
+    max_line_bytes: int = MAX_LINE_BYTES,
+) -> Tuple[int, Optional[str], List[Tuple[DecodedLine, Optional[QueryRequest]]]]:
+    """Route one request line for a serving front-end; never raises.
+
+    The one line path the TCP server and the stdin daemon share.
+    ``raw`` is the line without its newline (``None``: the framing layer
+    already found it oversized) and ``seq`` the number of lines routed so
+    far on this stream, which numbers the line's default id.  Returns
+    ``(seq, error, work)``: the new count (blank and ``#`` comment lines
+    skip and do not count), a typed ``error`` line to write, or the
+    ``work`` the front-end answers in order — ``(decoded, query)`` per
+    query, with the ``"*"`` wildcard expanded over every session and
+    each copy echoing the line's id, or ``(decoded, None)`` for an
+    aggregate.
+    """
+    if raw is None or len(raw) > max_line_bytes:
+        seq += 1
+        stats.lines += 1
+        stats.oversized += 1
+        stats.errors += 1
+        error = f"line exceeds the maximum line size ({max_line_bytes} bytes)"
+        return seq, _line({"id": seq, "status": STATUS_ERROR, "error": error}), []
+    text = raw.decode("utf-8", errors="replace").strip()
+    if not text or text.startswith("#"):
+        return seq, None, []
+    seq += 1
+    stats.lines += 1
+    decoded = decode_request_line(text, default_id=seq)
+    if decoded.kind == "error":
+        stats.parse_errors += 1
+        stats.errors += 1
+        line = _line({"id": decoded.id, "status": STATUS_ERROR, "error": decoded.error})
+        return seq, line, []
+    query = decoded.query
+    if query is None or query.session != ALL_SESSIONS:
+        return seq, None, [(decoded, query)]
+    names = service.session_names()
+    if not names:
+        stats.errors += 1
+        line = _line(
+            {
+                "id": query.id,
+                "session": ALL_SESSIONS,
+                "status": STATUS_ERROR,
+                "error": "wildcard query matched no sessions (nothing ingested)",
+            }
+        )
+        return seq, line, []
+    return seq, None, [(decoded, replace(query, session=name)) for name in names]
+
+
 class _Connection:
     """Per-connection state: queues, permits, tasks."""
 
@@ -228,8 +286,7 @@ class _Connection:
         self.writer = writer
         peer = writer.get_extra_info("peername")
         self.peer = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) else str(peer)
-        self.seq = 0  # per-connection line sequence (default query ids)
-        self.lines = 0
+        self.seq = 0  # request lines routed so far (default query ids)
         self.responses = 0
         self.broken = False  # write side failed; discard, don't wedge
         self.inflight = asyncio.Semaphore(config.inflight_per_connection)
@@ -263,9 +320,7 @@ class NetServer:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind and start accepting connections."""
-        self._owner = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-net-owner"
-        )
+        self._owner = ThreadPoolExecutor(1, thread_name_prefix="repro-net-owner")
         self._server = await asyncio.start_server(
             self._on_connection, self.config.host, self.config.port
         )
@@ -376,75 +431,14 @@ class NetServer:
             except (OSError, RuntimeError):
                 self.stats.read_errors += 1
                 break  # injected read failure: the peer sees the close
-            for kind, line in assembler.feed(chunk):
-                if kind == "oversized":
-                    conn.seq += 1
-                    self.stats.lines += 1
-                    self.stats.oversized += 1
-                    self.stats.errors += 1
-                    await self._enqueue(
-                        conn,
-                        _line(
-                            {
-                                "id": conn.seq,
-                                "status": STATUS_ERROR,
-                                "error": (
-                                    "line exceeds the maximum line size "
-                                    f"({self.config.max_line_bytes} bytes)"
-                                ),
-                            }
-                        ),
-                    )
-                    continue
-                await self._handle_line(conn, line)
-
-    async def _handle_line(self, conn: _Connection, raw: bytes) -> None:
-        text = raw.decode("utf-8", errors="replace").strip()
-        if not text or text.startswith("#"):
-            return  # blank lines and comments skip, matching the daemon
-        conn.seq += 1
-        conn.lines += 1
-        self.stats.lines += 1
-        decoded = decode_request_line(text, default_id=conn.seq)
-        if decoded.kind == "error":
-            self.stats.parse_errors += 1
-            self.stats.errors += 1
-            await self._enqueue(
-                conn,
-                _line(
-                    {"id": decoded.id, "status": STATUS_ERROR, "error": decoded.error}
-                ),
-            )
-            return
-        if decoded.kind == "aggregate":
-            await self._admit(conn, decoded, None)
-            return
-        query = decoded.query
-        assert query is not None
-        if query.session == ALL_SESSIONS:
-            expanded = [
-                replace(query, session=name)
-                for name in self.service.session_names()
-            ]
-            if not expanded:
-                self.stats.errors += 1
-                await self._enqueue(
-                    conn,
-                    _line(
-                        {
-                            "id": query.id,
-                            "session": ALL_SESSIONS,
-                            "status": STATUS_ERROR,
-                            "error": "wildcard query matched no sessions "
-                            "(nothing ingested)",
-                        }
-                    ),
+            for _, raw in assembler.feed(chunk):
+                conn.seq, error, work = route_line(
+                    self.service, raw, conn.seq, self.stats, self.config.max_line_bytes
                 )
-                return
-        else:
-            expanded = [query]
-        for subquery in expanded:
-            await self._admit(conn, decoded, subquery)
+                if error is not None:
+                    await self._enqueue(conn, error)
+                for decoded, query in work:
+                    await self._admit(conn, decoded, query)
 
     async def _admit(
         self,
@@ -638,7 +632,7 @@ class NetServer:
 
         self._publish(
             ConnectionClosedEvent(
-                time=0.0, peer=conn.peer, lines=conn.lines, responses=conn.responses
+                time=0.0, peer=conn.peer, lines=conn.seq, responses=conn.responses
             )
         )
 

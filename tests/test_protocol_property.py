@@ -185,7 +185,6 @@ def aggregate_responses(draw):
         latency_us=draw(_edge_numbers),
         memoized=draw(st.integers(min_value=0, max_value=500)),
         computed=draw(st.integers(min_value=0, max_value=500)),
-        shards=draw(st.integers(min_value=0, max_value=8)),
     )
 
 

@@ -31,7 +31,7 @@ PAPER_ORDER = [
 
 # Auxiliary specs ride on the engine (cache, fan-out) but are not part
 # of the paper's evaluation; default selections skip them.
-AUXILIARY = ["fuzz", "bench", "serve", "aggregate"]
+AUXILIARY = ["fuzz", "bench"]
 
 
 class TestRegistryContents:

@@ -21,7 +21,7 @@ from repro.serve import (
     ServiceConfig,
     parse_queries_jsonl,
 )
-from repro.workloads import run_attack3, run_scene1
+from repro.workloads import run_scene1
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +170,20 @@ class TestServing:
             assert "session 'scene'" in response.error
             assert "0 resubmit(s)" in response.error
 
+    def test_duplicate_ids_each_get_a_response(self, service):
+        # Regression: responses were folded back by id, so a repeated id
+        # lost all but one response while the stats counted every query.
+        queries = parse_queries_jsonl(
+            [
+                json.dumps({"id": 7, "session": "scene", "backend": "energy"}),
+                json.dumps({"id": 7, "session": "scene", "backend": "eandroid"}),
+            ]
+        )
+        responses = service.serve_batch(queries)
+        assert [r.id for r in responses] == [7, 7]
+        assert [r.report["backend"] for r in responses] == ["energy", "eandroid"]
+        assert len(responses) == service.stats.answered == service.stats.received
+
     def test_manifest_shape(self, service):
         ServiceClient(service).query("scene", "energy")
         manifest = service.manifest()
@@ -177,42 +191,6 @@ class TestServing:
         assert manifest["stats"]["answered"] == 1
         assert "scene" in manifest["sessions"]
         assert manifest["cache"]["capacity"] == service.config.cache_entries
-
-
-class TestSharding:
-    def test_two_workers_match_serial(self, scene_trace):
-        attack = run_attack3()
-        attack_trace = capture_trace(attack.system, attack.eandroid)
-
-        def build(workers):
-            svc = ProfilingService(
-                ServiceConfig(workers=workers, telemetry=False)
-            )
-            svc.ingest_trace("scene", scene_trace, "test")
-            svc.ingest_trace("attack", attack_trace, "test")
-            return svc
-
-        serial, sharded = build(1), build(2)
-        queries = [
-            QueryRequest(
-                id=i,
-                session=session,
-                report=ReportRequest(backend=backend),
-            )
-            for i, (session, backend) in enumerate(
-                (s, b)
-                for s in ("scene", "attack")
-                for b in ("batterystats", "eandroid", "collateral")
-            )
-        ]
-        serial_responses = serial.serve_batch(list(queries))
-        sharded_responses = sharded.serve_batch(list(queries))
-        assert all(r.status == STATUS_OK for r in sharded_responses)
-        for a, b in zip(serial_responses, sharded_responses):
-            assert a.id == b.id and a.report == b.report
-
-    def test_shard_assignment_is_stable(self, service):
-        assert service.shard_of("scene") == service.shard_of("scene")
 
 
 class TestProtocol:
@@ -259,7 +237,7 @@ class TestStdinDaemon:
         from repro.cli import _serve_daemon
 
         monkeypatch.setattr("sys.stdin", io.StringIO("".join(lines)))
-        _serve_daemon(service, ServiceClient(service))
+        _serve_daemon(service)
         return [
             json.loads(line)
             for line in capsys.readouterr().out.splitlines()
@@ -310,3 +288,30 @@ class TestStdinDaemon:
         out = self._run_daemon(service, [line + "\n"], monkeypatch, capsys)
         assert [r["status"] for r in out] == [STATUS_OK]
         assert out[0]["report"]["total_j"] > 0.0
+
+    def test_empty_wildcard_is_one_typed_error(self, monkeypatch, capsys):
+        # Regression: with nothing ingested the daemon printed nothing.
+        empty = ProfilingService(ServiceConfig(telemetry=False))
+        line = json.dumps({"id": 4, "session": ALL_SESSIONS, "backend": "energy"})
+        out = self._run_daemon(empty, [line + "\n"], monkeypatch, capsys)
+        assert len(out) == 1
+        assert out[0]["id"] == 4 and out[0]["status"] == STATUS_ERROR
+        assert out[0]["session"] == ALL_SESSIONS
+        assert "matched no sessions" in out[0]["error"]
+
+    def test_wildcard_responses_echo_the_line_id(
+        self, scene_trace, monkeypatch, capsys
+    ):
+        svc = ProfilingService(ServiceConfig(telemetry=False))
+        svc.ingest_trace("a", scene_trace, "test")
+        svc.ingest_trace("b", scene_trace, "test")
+        line = json.dumps({"id": 42, "session": ALL_SESSIONS, "backend": "energy"})
+        follow_up = json.dumps({"id": 1, "session": "a", "backend": "eandroid"})
+        out = self._run_daemon(
+            svc, [line + "\n", follow_up + "\n"], monkeypatch, capsys
+        )
+        assert [(r["id"], r["session"], r["status"]) for r in out] == [
+            (42, "a", STATUS_OK),
+            (42, "b", STATUS_OK),
+            (1, "a", STATUS_OK),
+        ]
