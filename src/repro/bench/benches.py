@@ -594,6 +594,82 @@ def bench_aggregate_merge(repeats: int) -> BenchMeasurement:
     )
 
 
+def _build_link_trace(apps: int = 12, links: int = 240):
+    """A deterministic DeviceTrace with a dense, chained attack-link log.
+
+    Links chain apps into one another (and into the screen), close
+    cycles, share begin/end instants and sometimes stay open at
+    capture, so every report walks many live segments and hosts.
+    """
+    from ..core.links import SCREEN_TARGET
+    from ..offline.trace import ChannelTrace, DeviceTrace, LinkRecord
+
+    uids = [10_000 + a for a in range(apps)]
+    horizon = links * 0.5 + 20.0
+    trace = DeviceTrace(
+        captured_at=horizon,
+        battery_capacity_j=40_000.0,
+        apps={uid: f"bench.app{uid - 10_000}" for uid in uids},
+        foreground=[(0.0, uids[0])],
+    )
+    for owner in uids + [SCREEN_TARGET]:
+        for component in ("cpu", "wifi", "screen" if owner < 0 else "gps"):
+            trace.channels.append(
+                ChannelTrace(
+                    owner=owner,
+                    component=component,
+                    breakpoints=[
+                        (i * 2.0, float((i * 7919 + owner) % 900 + 1))
+                        for i in range(int(horizon // 2))
+                    ],
+                )
+            )
+    for k in range(links):
+        begin = (k // 2) * 0.5
+        trace.links.append(
+            LinkRecord(
+                kind="activity" if k % 3 else "service_bind",
+                driving_uid=uids[(k * 7) % apps],
+                target=SCREEN_TARGET if k % 9 == 0 else uids[(k * 11 + 1) % apps],
+                begin_time=begin,
+                end_time=None if k % 10 == 0 else begin + (k * 13 % 17) * 0.5,
+            )
+        )
+    return trace
+
+
+def bench_offline_collateral_describe(repeats: int) -> BenchMeasurement:
+    """E-Android + collateral reports on a link-heavy trace, offline.
+
+    Each report derives the collateral link windows in one sweep; a
+    return to per-host recomputation multiplies this by the host count.
+    """
+    from ..offline import OfflineAnalyzer
+    from ..reports.request import ReportRequest
+
+    trace = _build_link_trace()
+    analyzer = OfflineAnalyzer(trace)
+    requests = [
+        ReportRequest(backend=backend, start=start, end=end)
+        for start, end in _query_windows(trace.captured_at, count=8)
+        for backend in ("eandroid", "collateral")
+    ]
+    times: List[float] = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        for request in requests:
+            analyzer.describe(request)
+        times.append(time.perf_counter() - started)
+    return BenchMeasurement(
+        times_s=times,
+        metrics={
+            "links": len(trace.links),
+            "hosts": len({link.driving_uid for link in trace.links}),
+            "reports": len(requests),
+        },
+    )
+
+
 def bench_calibration(repeats: int) -> BenchMeasurement:
     """Fixed pure-python workload measuring machine speed.
 
@@ -724,6 +800,12 @@ for _order, _spec in enumerate(
             runner=bench_aggregate_merge,
             kind="micro",
             description="gather-step partial merges, 64 synthetic partials",
+        ),
+        BenchSpec(
+            name="offline_collateral_describe",
+            runner=bench_offline_collateral_describe,
+            kind="micro",
+            description="eandroid + collateral reports, link-heavy trace",
         ),
     ]
 ):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .links import LinkGraph
+from .links import LinkGraph, reachable
 
 
 @dataclass
@@ -155,13 +155,14 @@ class CollateralMapSet:
         parent-map additions (lines 8-10) and the service back-
         propagation (lines 11-15) are both just reachability.
         """
+        adjacency = graph.live_adjacency()
         for host in graph.hosts():
             host_map = self.map_for(host)
-            reachable = graph.reachable_from(host)
+            reach = reachable(host, adjacency)
             open_now = host_map.open_targets()
-            for target in reachable - open_now:
+            for target in reach - open_now:
                 if host_map.element(target).open(now):
                     self._version += 1
-            for target in open_now - reachable:
+            for target in open_now - reach:
                 if host_map.element(target).close(now):
                     self._version += 1

@@ -14,11 +14,33 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Set
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Set
 
 SCREEN_TARGET = -100
 """Pseudo-target for screen-directed attacks (same id as the meter's
 SCREEN_OWNER, so energy lookups are uniform)."""
+
+
+def reachable(host: int, adjacency: Mapping[int, Sequence[int]]) -> Set[int]:
+    """Targets transitively reachable from ``host`` over live links.
+
+    This is the membership rule of Algorithm 1: the host's map contains
+    every driven app/screen its live attack chain reaches (excluding the
+    host itself, so cycles don't self-charge; the screen is a sink).
+    ``adjacency`` maps each driving uid to the targets of its live
+    links, in link order — the live graph (:meth:`LinkGraph.reachable_from`)
+    and the offline analyzer's link-log sweep both walk it here.
+    """
+    reached: Set[int] = set()
+    frontier = [host]
+    while frontier:
+        for target in adjacency.get(frontier.pop(), ()):
+            if target == host or target in reached:
+                continue
+            reached.add(target)
+            if target != SCREEN_TARGET:
+                frontier.append(target)
+    return reached
 
 
 class AttackKind(Enum):
@@ -70,6 +92,7 @@ class LinkGraph:
         self._ids = itertools.count(1)
         self._links: List[AttackLink] = []
         self._live: Dict[int, AttackLink] = {}
+        self._hosts: Set[int] = set()
 
     def begin(
         self,
@@ -90,6 +113,7 @@ class LinkGraph:
         )
         self._links.append(link)
         self._live[link.link_id] = link
+        self._hosts.add(driving_uid)
         return link
 
     def end(self, link: AttackLink, time: float) -> None:
@@ -114,30 +138,17 @@ class LinkGraph:
         """Live links pointing at one target."""
         return [l for l in self._live.values() if l.target == target]
 
-    def hosts(self) -> Set[int]:
-        """Every uid that has ever driven a link."""
-        return {link.driving_uid for link in self._links}
+    def hosts(self) -> AbstractSet[int]:
+        """Every uid that has ever driven a link (a live view: don't mutate)."""
+        return self._hosts
+
+    def live_adjacency(self) -> Dict[int, List[int]]:
+        """driving uid -> targets of its live links, in link order."""
+        adjacency: Dict[int, List[int]] = {}
+        for link in self._live.values():
+            adjacency.setdefault(link.driving_uid, []).append(link.target)
+        return adjacency
 
     def reachable_from(self, host: int) -> Set[int]:
-        """Targets transitively reachable from ``host`` over live links.
-
-        This is the membership rule of Algorithm 1: the host's map
-        contains every driven app/screen its live attack chain reaches
-        (excluding the host itself, so cycles don't self-charge).
-        """
-        reached: Set[int] = set()
-        frontier = [host]
-        seen = {host}
-        while frontier:
-            node = frontier.pop()
-            for link in self._live.values():
-                if link.driving_uid != node:
-                    continue
-                target = link.target
-                if target == host or target in reached:
-                    continue
-                reached.add(target)
-                if target not in seen and target != SCREEN_TARGET:
-                    seen.add(target)
-                    frontier.append(target)
-        return reached
+        """Targets transitively reachable from ``host`` over live links."""
+        return reachable(host, self.live_adjacency())

@@ -17,9 +17,11 @@ portable record — the "offline analysis" form of the paper's system.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+import bisect
+from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from ..accounting.base import AppEnergyEntry, ProfilerReport
+from ..core.links import SCREEN_TARGET, reachable
 from ..power.meter import SCREEN_OWNER, SYSTEM_OWNER
 from ..power.trace import PowerTrace
 from .trace import DeviceTrace, LinkRecord
@@ -28,7 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..reports.request import ReportRequest
     from ..reports.view import ProfilerReportView
 
-SCREEN_TARGET = -100  # matches repro.core.links.SCREEN_TARGET
+#: host -> target -> merged charge windows, targets in first-reached order.
+LinkWindows = Dict[int, Dict[int, List[Tuple[float, float]]]]
 
 
 class OfflineAnalyzer:
@@ -42,6 +45,26 @@ class OfflineAnalyzer:
             for t, mw in channel.breakpoints:
                 power_trace.append(t, mw)
             self._channels[(channel.owner, channel.component)] = power_trace
+        # Each owner's channels in ``_channels`` order, so an owner's
+        # energy sums the same terms in the same order as a full scan.
+        owner_channels: Dict[int, List[PowerTrace]] = {}
+        for (owner, _), power_trace in self._channels.items():
+            owner_channels.setdefault(owner, []).append(power_trace)
+        self._owner_channels = {o: tuple(c) for o, c in owner_channels.items()}
+        # The link log, indexed once for the per-report sweep: its
+        # boundary instants, and link positions in begin order (a capture
+        # logs links as they begin, so usually just the log order).
+        links = trace.links
+        self._hosts = {l.driving_uid for l in links}
+        self._link_times = sorted(
+            {l.begin_time for l in links}
+            | {l.end_time for l in links if l.end_time is not None}
+        )
+        self._begin_order: Sequence[int] = range(len(links))
+        if any(a.begin_time > b.begin_time for a, b in zip(links, links[1:])):
+            self._begin_order = sorted(
+                self._begin_order, key=lambda i: links[i].begin_time
+            )
 
     # ------------------------------------------------------------------
     # primitive energy queries
@@ -54,11 +77,12 @@ class OfflineAnalyzer:
     ) -> float:
         """Energy over a window, optionally for one owner."""
         window_end = self.trace.captured_at if end is None else end
-        return sum(
-            channel.energy_j(start, window_end)
-            for (channel_owner, _), channel in self._channels.items()
-            if owner is None or channel_owner == owner
+        channels = (
+            self._channels.values()
+            if owner is None
+            else self._owner_channels.get(owner, ())
         )
+        return sum(channel.energy_j(start, window_end) for channel in channels)
 
     def owners(self) -> Set[int]:
         """Every owner appearing in the trace."""
@@ -175,88 +199,99 @@ class OfflineAnalyzer:
     # ------------------------------------------------------------------
     # E-Android offline
     # ------------------------------------------------------------------
-    def _link_windows(
-        self, start: float, end: float
-    ) -> Dict[int, Dict[int, List[Tuple[float, float]]]]:
+    def _link_windows(self, start: float, end: float) -> LinkWindows:
         """host -> target -> merged charge windows, from the link log.
 
-        Reconstructs per-(host, target) windows by reachability over the
-        link set sampled at every link boundary — the offline equivalent
-        of the live map-set sync.
+        One sweep over the link boundaries in ``[start, end]``: at each
+        segment's midpoint, links that have begun join the live set and
+        links that have ended leave it; where it changed, every host's
+        reachable targets are walked again, and they extend that host's
+        windows — the offline equivalent of the live map-set sync.
         """
-        boundaries = sorted(
-            {start, end}
-            | {l.begin_time for l in self.trace.links}
-            | {l.end_time for l in self.trace.links if l.end_time is not None}
-        )
-        boundaries = [b for b in boundaries if start <= b <= end]
-        if not boundaries or boundaries[0] > start:
-            boundaries.insert(0, start)
-        if boundaries[-1] < end:
-            boundaries.append(end)
-        windows: Dict[int, Dict[int, List[Tuple[float, float]]]] = {}
-        hosts = {l.driving_uid for l in self.trace.links}
+        times = self._link_times
+        boundaries: List[float] = []
+        if start < end:
+            lo = bisect.bisect_right(times, start)
+            hi = bisect.bisect_left(times, end)
+            boundaries = [start, *times[lo:hi], end]
+        links = self.trace.links
+        begin_order = self._begin_order
+        next_begin = 0
+        live: Dict[int, LinkRecord] = {}
+        extending: List[List[Tuple[float, float]]] = []
+        stale = True
+        windows: LinkWindows = {}
         for seg_start, seg_end in zip(boundaries, boundaries[1:]):
-            if seg_end <= seg_start:
-                continue
             midpoint = (seg_start + seg_end) / 2.0
-            live = [
-                l
-                for l in self.trace.links
-                if l.begin_time <= midpoint
-                and (l.end_time is None or l.end_time > midpoint)
+            while (
+                next_begin < len(begin_order)
+                and links[begin_order[next_begin]].begin_time <= midpoint
+            ):
+                index = begin_order[next_begin]
+                next_begin += 1
+                link = links[index]
+                if link.end_time is None or link.end_time > midpoint:
+                    live[index] = link
+                    stale = True
+            ended = [
+                index
+                for index, link in live.items()
+                if link.end_time is not None and link.end_time <= midpoint
             ]
-            for host in hosts:
-                for target in self._reachable(host, live):
-                    target_windows = windows.setdefault(host, {}).setdefault(
-                        target, []
-                    )
-                    if target_windows and target_windows[-1][1] == seg_start:
-                        target_windows[-1] = (target_windows[-1][0], seg_end)
-                    else:
-                        target_windows.append((seg_start, seg_end))
+            for index in ended:
+                del live[index]
+                stale = True
+            if stale:
+                # Adjacency in link-log order, as the live graph keeps it.
+                adjacency: Dict[int, List[int]] = {}
+                for index in sorted(live):
+                    link = live[index]
+                    adjacency.setdefault(link.driving_uid, []).append(link.target)
+                # The window list of every reached (host, target); a first
+                # reach inserts the host and the target in walk order.
+                extending = []
+                for host in self._hosts:
+                    if host not in adjacency:
+                        continue
+                    targets = reachable(host, adjacency)
+                    if targets:
+                        host_windows = windows.setdefault(host, {})
+                        extending += [host_windows.setdefault(t, []) for t in targets]
+                stale = False
+            for target_windows in extending:
+                if target_windows and target_windows[-1][1] == seg_start:
+                    target_windows[-1] = (target_windows[-1][0], seg_end)
+                else:
+                    target_windows.append((seg_start, seg_end))
         return windows
 
-    @staticmethod
-    def _reachable(host: int, live: List[LinkRecord]) -> Set[int]:
-        reached: Set[int] = set()
-        frontier = [host]
-        seen = {host}
-        while frontier:
-            node = frontier.pop()
-            for link in live:
-                if link.driving_uid != node:
-                    continue
-                target = link.target
-                if target == host or target in reached:
-                    continue
-                reached.add(target)
-                if target not in seen and target != SCREEN_TARGET:
-                    seen.add(target)
-                    frontier.append(target)
-        return reached
+    def _breakdown(
+        self, windows: Dict[int, List[Tuple[float, float]]]
+    ) -> Dict[int, float]:
+        """target -> joules over one host's charge windows (zeros dropped)."""
+        breakdown: Dict[int, float] = {}
+        for target, intervals in windows.items():
+            owner = SCREEN_OWNER if target == SCREEN_TARGET else target
+            total = sum(
+                self.energy_j(owner=owner, start=s, end=e) for s, e in intervals
+            )
+            if total > 0:
+                breakdown[target] = total
+        return breakdown
+
+    def _charge(self, entry: AppEnergyEntry, breakdown: Dict[int, float]) -> None:
+        """Superimpose one host's collateral breakdown on its row."""
+        for target, joules in breakdown.items():
+            label = "Screen" if target == SCREEN_TARGET else self.label_for(target)
+            entry.collateral_j[label] = entry.collateral_j.get(label, 0.0) + joules
+            entry.energy_j += joules
 
     def collateral_breakdown(
         self, host: int, start: float = 0.0, end: Optional[float] = None
     ) -> Dict[int, float]:
         """target -> joules charged to ``host``, from the trace alone."""
         window_end = self.trace.captured_at if end is None else end
-        windows = self._link_windows(start, window_end).get(host, {})
-        breakdown: Dict[int, float] = {}
-        for target, intervals in windows.items():
-            if target == SCREEN_TARGET:
-                total = sum(
-                    self.energy_j(owner=SCREEN_OWNER, start=s, end=e)
-                    for s, e in intervals
-                )
-            else:
-                total = sum(
-                    self.energy_j(owner=target, start=s, end=e)
-                    for s, e in intervals
-                )
-            if total > 0:
-                breakdown[target] = total
-        return breakdown
+        return self._breakdown(self._link_windows(start, window_end).get(host, {}))
 
     def eandroid_report(
         self, start: float = 0.0, end: Optional[float] = None
@@ -265,8 +300,9 @@ class OfflineAnalyzer:
         window_end = self.trace.captured_at if end is None else end
         report = self.batterystats_report(start, window_end)
         report.profiler = "E-Android (offline)"
-        for host in sorted({l.driving_uid for l in self.trace.links}):
-            breakdown = self.collateral_breakdown(host, start, window_end)
+        windows = self._link_windows(start, window_end)
+        for host in sorted(self._hosts):
+            breakdown = self._breakdown(windows.get(host, {}))
             if not breakdown:
                 continue
             entry = report.entry_for_uid(host)
@@ -275,14 +311,7 @@ class OfflineAnalyzer:
                     uid=host, label=self.label_for(host), energy_j=0.0
                 )
                 report.entries.append(entry)
-            for target, joules in breakdown.items():
-                label = (
-                    "Screen" if target == SCREEN_TARGET else self.label_for(target)
-                )
-                entry.collateral_j[label] = (
-                    entry.collateral_j.get(label, 0.0) + joules
-                )
-                entry.energy_j += joules
+            self._charge(entry, breakdown)
         report.entries.sort(key=lambda e: e.energy_j, reverse=True)
         ground_truth = self.energy_j(start=start, end=window_end)
         for entry in report.entries:
@@ -346,25 +375,19 @@ class OfflineAnalyzer:
         report = ProfilerReport(
             profiler="Collateral (offline)", start=start, end=window_end
         )
-        all_hosts = sorted({l.driving_uid for l in self.trace.links})
+        all_hosts = sorted(self._hosts)
         if hosts is not None:
             wanted = set(hosts)
             all_hosts = [h for h in all_hosts if h in wanted]
+        windows = self._link_windows(start, window_end)
         for host in all_hosts:
-            breakdown = self.collateral_breakdown(host, start, window_end)
+            breakdown = self._breakdown(windows.get(host, {}))
             if not breakdown:
                 continue
             entry = AppEnergyEntry(
                 uid=host, label=self.label_for(host), energy_j=0.0
             )
-            for target, joules in breakdown.items():
-                label = (
-                    "Screen" if target == SCREEN_TARGET else self.label_for(target)
-                )
-                entry.collateral_j[label] = (
-                    entry.collateral_j.get(label, 0.0) + joules
-                )
-                entry.energy_j += joules
+            self._charge(entry, breakdown)
             report.entries.append(entry)
         return report.finalize()
 
