@@ -24,31 +24,42 @@ never charged as *targets* — but their events are still journaled
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple, Type, TYPE_CHECKING
 
-from ..android.observers import FrameworkObserver
 from ..android.power_manager import SCREEN_LOCK_TYPES
 from ..telemetry import FRAMEWORK_CATEGORIES, Subscription, TelemetryBus
-from ..telemetry.events import TelemetryEvent
+from ..telemetry.events import (
+    ActivityFinishedEvent,
+    ActivityMoveToFrontEvent,
+    ActivityStartEvent,
+    BrightnessChangeEvent,
+    BrightnessModeChangeEvent,
+    ForegroundChangedEvent,
+    PackageStoppedEvent,
+    ScreenStateEvent,
+    ServiceBindEvent,
+    ServiceStartEvent,
+    ServiceStopEvent,
+    ServiceStopSelfEvent,
+    ServiceUnbindEvent,
+    TelemetryEvent,
+    WakelockAcquireEvent,
+    WakelockReleaseEvent,
+)
 from .accounting import EAndroidAccounting
 from .events import CollateralEvent, CollateralEventType, EventLog
 from .links import SCREEN_TARGET, AttackKind, AttackLink
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..android.activity import ActivityRecord
     from ..android.framework import AndroidSystem
-    from ..android.intent import Intent
-    from ..android.service import ServiceRecord
 
 
-class EAndroidMonitor(FrameworkObserver):
+class EAndroidMonitor:
     """Telemetry-bus subscriber → event journal + attack tracking.
 
     The monitor subscribes to the device bus's framework categories
-    (:meth:`attach`) and dispatches each typed event to the matching
-    ``on_*`` handler below.  The handlers keep the legacy
-    :class:`~repro.android.observers.FrameworkObserver` signatures, so
-    the monitor can still be driven directly in unit tests.
+    (:meth:`attach`) and dispatches each typed event, by its class, to
+    the matching ``on_*`` handler below (:attr:`HANDLERS`).
     """
 
     def __init__(
@@ -116,10 +127,10 @@ class EAndroidMonitor(FrameworkObserver):
         return bool(self._subscriptions)
 
     def _on_event(self, event: TelemetryEvent) -> None:
-        """Dispatch one typed event to its legacy-signature handler."""
-        hook = event.hook
-        if hook is not None:
-            getattr(self, hook)(*event.hook_args())
+        """Dispatch one typed event to its handler; others are ignored."""
+        handler = self.HANDLERS.get(type(event))
+        if handler is not None:
+            handler(self, event)
 
     # ------------------------------------------------------------------
     # helpers
@@ -170,17 +181,11 @@ class EAndroidMonitor(FrameworkObserver):
     # ------------------------------------------------------------------
     # Fig. 5a / 5b — activities
     # ------------------------------------------------------------------
-    def on_activity_start(
-        self,
-        time: float,
-        caller_uid: int,
-        target_uid: int,
-        record: "ActivityRecord",
-        intent: "Intent",
-        user_initiated: bool,
-    ) -> None:
+    def on_activity_start(self, event: ActivityStartEvent) -> None:
+        caller_uid, target_uid = event.caller_uid, event.target_uid
+        record, user_initiated = event.record, event.user_initiated
         self._journal(
-            time,
+            event.time,
             CollateralEventType.ACTIVITY_START,
             caller_uid,
             target_uid,
@@ -198,11 +203,11 @@ class EAndroidMonitor(FrameworkObserver):
                 detail=f"start {record.package}/{record.component_name}",
             )
 
-    def on_activity_move_to_front(
-        self, time: float, caller_uid: int, target_uid: int, user_initiated: bool
-    ) -> None:
+    def on_activity_move_to_front(self, event: ActivityMoveToFrontEvent) -> None:
+        caller_uid, target_uid = event.caller_uid, event.target_uid
+        user_initiated = event.user_initiated
         self._journal(
-            time,
+            event.time,
             CollateralEventType.ACTIVITY_MOVE_TO_FRONT,
             caller_uid,
             target_uid,
@@ -216,22 +221,23 @@ class EAndroidMonitor(FrameworkObserver):
                 AttackKind.ACTIVITY, caller_uid, target_uid, detail="move_to_front"
             )
 
-    def on_activity_finished(self, time: float, record: "ActivityRecord") -> None:
+    def on_activity_finished(self, event: ActivityFinishedEvent) -> None:
         self._journal(
-            time,
+            event.time,
             CollateralEventType.ACTIVITY_FINISHED,
             None,
-            record.uid,
-            component=record.component_name,
+            event.record.uid,
+            component=event.record.component_name,
         )
 
-    def on_package_stopped(self, time: float, uid: int, package: str) -> None:
+    def on_package_stopped(self, event: PackageStoppedEvent) -> None:
+        uid = event.uid
         self._journal(
-            time,
+            event.time,
             CollateralEventType.PACKAGE_STOPPED,
             None,
             uid,
-            package=package,
+            package=event.package,
         )
         # Force Stop kills every component, so attacks *against* this app
         # are physically over: its next life is a fresh, user-initiated
@@ -241,21 +247,16 @@ class EAndroidMonitor(FrameworkObserver):
         self._end(self._activity_links.pop(uid, None))
         self._end(self._interrupt_links.pop(uid, None))
 
-    def on_foreground_changed(
-        self,
-        time: float,
-        previous_uid: Optional[int],
-        new_uid: Optional[int],
-        cause: str,
-        initiator_uid: Optional[int],
-    ) -> None:
+    def on_foreground_changed(self, event: ForegroundChangedEvent) -> None:
+        previous_uid, new_uid = event.previous_uid, event.new_uid
+        initiator_uid = event.initiator_uid
         self._journal(
-            time,
+            event.time,
             CollateralEventType.FOREGROUND_CHANGED,
             initiator_uid,
             new_uid,
             previous_uid=previous_uid,
-            cause=cause,
+            cause=event.cause,
         )
         # The app back in front is no longer "interrupted" (Fig. 5b) and
         # legitimately owns the screen again (Fig. 5e end-by-return).
@@ -276,7 +277,7 @@ class EAndroidMonitor(FrameworkObserver):
                 AttackKind.INTERRUPT,
                 initiator_uid,
                 previous_uid,
-                detail=f"interrupted via {cause}",
+                detail=f"interrupted via {event.cause}",
             )
         # Fig. 5e begin: previous foreground app left the screen while
         # still holding a screen wakelock.
@@ -297,11 +298,11 @@ class EAndroidMonitor(FrameworkObserver):
     # ------------------------------------------------------------------
     # Fig. 5c — services
     # ------------------------------------------------------------------
-    def on_service_start(
-        self, time: float, caller_uid: int, target_uid: int, record: "ServiceRecord"
-    ) -> None:
+    def on_service_start(self, event: ServiceStartEvent) -> None:
+        caller_uid, target_uid = event.caller_uid, event.target_uid
+        record = event.record
         self._journal(
-            time,
+            event.time,
             CollateralEventType.SERVICE_START,
             caller_uid,
             target_uid,
@@ -316,21 +317,20 @@ class EAndroidMonitor(FrameworkObserver):
                 detail=f"startService {record.component_name}",
             )
 
-    def on_service_stop(
-        self, time: float, caller_uid: int, target_uid: int, record: "ServiceRecord"
-    ) -> None:
+    def on_service_stop(self, event: ServiceStopEvent) -> None:
         self._journal(
-            time,
+            event.time,
             CollateralEventType.SERVICE_STOP,
-            caller_uid,
-            target_uid,
-            component=record.component_name,
+            event.caller_uid,
+            event.target_uid,
+            component=event.record.component_name,
         )
-        self._end(self._service_start_links.pop(record.record_id, None))
+        self._end(self._service_start_links.pop(event.record.record_id, None))
 
-    def on_service_stop_self(self, time: float, record: "ServiceRecord") -> None:
+    def on_service_stop_self(self, event: ServiceStopSelfEvent) -> None:
+        record = event.record
         self._journal(
-            time,
+            event.time,
             CollateralEventType.SERVICE_STOP_SELF,
             record.uid,
             record.uid,
@@ -338,11 +338,11 @@ class EAndroidMonitor(FrameworkObserver):
         )
         self._end(self._service_start_links.pop(record.record_id, None))
 
-    def on_service_bind(
-        self, time: float, caller_uid: int, target_uid: int, record: "ServiceRecord"
-    ) -> None:
+    def on_service_bind(self, event: ServiceBindEvent) -> None:
+        caller_uid, target_uid = event.caller_uid, event.target_uid
+        record = event.record
         self._journal(
-            time,
+            event.time,
             CollateralEventType.SERVICE_BIND,
             caller_uid,
             target_uid,
@@ -360,17 +360,16 @@ class EAndroidMonitor(FrameworkObserver):
                 detail=f"bindService {record.component_name}",
             )
 
-    def on_service_unbind(
-        self, time: float, caller_uid: int, target_uid: int, record: "ServiceRecord"
-    ) -> None:
+    def on_service_unbind(self, event: ServiceUnbindEvent) -> None:
+        record = event.record
         self._journal(
-            time,
+            event.time,
             CollateralEventType.SERVICE_UNBIND,
-            caller_uid,
-            target_uid,
+            event.caller_uid,
+            event.target_uid,
             component=record.component_name,
         )
-        key = (record.record_id, caller_uid)
+        key = (record.record_id, event.caller_uid)
         count = self._service_bind_counts.get(key, 0)
         if count <= 1:
             self._service_bind_counts.pop(key, None)
@@ -381,18 +380,17 @@ class EAndroidMonitor(FrameworkObserver):
     # ------------------------------------------------------------------
     # Fig. 5e — wakelocks
     # ------------------------------------------------------------------
-    def on_wakelock_acquire(
-        self, time: float, uid: int, lock_type: str, tag: str
-    ) -> None:
+    def on_wakelock_acquire(self, event: WakelockAcquireEvent) -> None:
+        uid, tag = event.uid, event.tag
         self._journal(
-            time,
+            event.time,
             CollateralEventType.WAKELOCK_ACQUIRE,
             uid,
             None,
-            lock_type=lock_type,
+            lock_type=event.lock_type,
             tag=tag,
         )
-        if lock_type not in SCREEN_LOCK_TYPES:
+        if event.lock_type not in SCREEN_LOCK_TYPES:
             return
         self._screen_lock_counts[uid] = self._screen_lock_counts.get(uid, 0) + 1
         # "E-Android starts the wakelock collateral attack when the
@@ -409,19 +407,18 @@ class EAndroidMonitor(FrameworkObserver):
                 detail=f"screen wakelock {tag!r} acquired in background",
             )
 
-    def on_wakelock_release(
-        self, time: float, uid: int, lock_type: str, tag: str, by_death: bool
-    ) -> None:
+    def on_wakelock_release(self, event: WakelockReleaseEvent) -> None:
+        uid = event.uid
         self._journal(
-            time,
+            event.time,
             CollateralEventType.WAKELOCK_RELEASE,
             uid,
             None,
-            lock_type=lock_type,
-            tag=tag,
-            by_death=by_death,
+            lock_type=event.lock_type,
+            tag=event.tag,
+            by_death=event.by_death,
         )
-        if lock_type not in SCREEN_LOCK_TYPES:
+        if event.lock_type not in SCREEN_LOCK_TYPES:
             return
         count = self._screen_lock_counts.get(uid, 0)
         if count <= 1:
@@ -435,16 +432,11 @@ class EAndroidMonitor(FrameworkObserver):
     # ------------------------------------------------------------------
     # Fig. 5d — screen
     # ------------------------------------------------------------------
-    def on_brightness_change(
-        self,
-        time: float,
-        caller_uid: Optional[int],
-        old_level: int,
-        new_level: int,
-        via: str,
-    ) -> None:
+    def on_brightness_change(self, event: BrightnessChangeEvent) -> None:
+        caller_uid, via = event.caller_uid, event.via
+        old_level, new_level = event.old_level, event.new_level
         self._journal(
-            time,
+            event.time,
             CollateralEventType.BRIGHTNESS_CHANGE,
             caller_uid,
             None,
@@ -472,18 +464,17 @@ class EAndroidMonitor(FrameworkObserver):
             # "Brightness decreasing by the attacking app" ends its window.
             self._end(self._screen_links.pop(caller_uid, None))
 
-    def on_brightness_mode_change(
-        self, time: float, caller_uid: Optional[int], manual: bool, via: str
-    ) -> None:
+    def on_brightness_mode_change(self, event: BrightnessModeChangeEvent) -> None:
+        caller_uid = event.caller_uid
         self._journal(
-            time,
+            event.time,
             CollateralEventType.BRIGHTNESS_MODE_CHANGE,
             caller_uid,
             None,
-            manual=manual,
-            via=via,
+            manual=event.manual,
+            via=event.via,
         )
-        if not manual:
+        if not event.manual:
             # "Switching into the auto mode" ends every screen window.
             self._end_all_screen_links()
             return
@@ -498,9 +489,31 @@ class EAndroidMonitor(FrameworkObserver):
                     detail="switched brightness mode to manual",
                 )
 
-    def on_screen_state(self, time: float, is_on: bool) -> None:
-        self._journal(time, CollateralEventType.SCREEN_STATE, None, None, on=is_on)
+    def on_screen_state(self, event: ScreenStateEvent) -> None:
+        self._journal(
+            event.time, CollateralEventType.SCREEN_STATE, None, None, on=event.is_on
+        )
 
     def _end_all_screen_links(self) -> None:
         for uid in list(self._screen_links):
             self._end(self._screen_links.pop(uid))
+
+    #: Framework event class → its handler.  ``_on_event`` looks events
+    #: up by exact class; a class with no entry is not journaled.
+    HANDLERS: ClassVar[Dict[Type[TelemetryEvent], Callable[..., None]]] = {
+        ActivityStartEvent: on_activity_start,
+        ActivityMoveToFrontEvent: on_activity_move_to_front,
+        ActivityFinishedEvent: on_activity_finished,
+        PackageStoppedEvent: on_package_stopped,
+        ForegroundChangedEvent: on_foreground_changed,
+        ServiceStartEvent: on_service_start,
+        ServiceStopEvent: on_service_stop,
+        ServiceStopSelfEvent: on_service_stop_self,
+        ServiceBindEvent: on_service_bind,
+        ServiceUnbindEvent: on_service_unbind,
+        WakelockAcquireEvent: on_wakelock_acquire,
+        WakelockReleaseEvent: on_wakelock_release,
+        BrightnessChangeEvent: on_brightness_change,
+        BrightnessModeChangeEvent: on_brightness_mode_change,
+        ScreenStateEvent: on_screen_state,
+    }

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import warnings
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Union
 
@@ -37,49 +36,9 @@ PathLike = Union[str, Path]
 # ----------------------------------------------------------------------
 # profiler reports
 # ----------------------------------------------------------------------
-_warned_report_to_dict = False
-
-
-def _backend_for(report: ProfilerReport) -> str:
-    """Best-effort backend name for a bare report (shim use only)."""
-    profiler = report.profiler
-    if profiler.startswith("BatteryStats"):
-        return "batterystats"
-    if profiler.startswith("PowerTutor"):
-        return "powertutor"
-    if profiler.startswith("E-Android"):
-        return "eandroid"
-    if profiler.startswith("Collateral"):
-        return "collateral"
-    return "energy"
-
-
-def report_to_dict(report: ProfilerReport) -> Dict[str, Any]:
-    """Deprecated: a profiler report as plain JSON-ready data.
-
-    Thin shim over :meth:`repro.reports.ProfilerReportView.to_dict` —
-    the unified Report API's wire form.  Emits one
-    :class:`DeprecationWarning` per process; new code should go through
-    ``profiler.report_view(...)`` / ``analyzer.describe(...)`` instead.
-    Output is byte-identical to ``ReportView.to_dict()`` (regression
-    tested).
-    """
-    global _warned_report_to_dict
-    if not _warned_report_to_dict:
-        _warned_report_to_dict = True
-        warnings.warn(
-            "report_to_dict() is deprecated; use "
-            "repro.reports.ProfilerReportView.to_dict() (the unified "
-            "Report API) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return ProfilerReportView(backend=_backend_for(report), report=report).to_dict()
-
-
-def report_to_json(report: ProfilerReport, indent: int = 2) -> str:
-    """A profiler report serialised to JSON text."""
-    return json.dumps(report_to_dict(report), indent=indent)
+def report_to_json(view: ProfilerReportView, indent: int = 2) -> str:
+    """A report view (``profiler.report_view()``) serialised to JSON text."""
+    return json.dumps(view.to_dict(), indent=indent)
 
 
 def report_to_csv(report: ProfilerReport) -> str:
@@ -191,11 +150,11 @@ def save_text(path: PathLike, content: str) -> Path:
 
 
 def save_report(
-    report: ProfilerReport, directory: PathLike, stem: str = "report"
+    view: ProfilerReportView, directory: PathLike, stem: str = "report"
 ) -> Dict[str, Path]:
-    """Write a report as both JSON and CSV; returns the written paths."""
+    """Write a report view as both JSON and CSV; returns the written paths."""
     base = Path(directory)
     return {
-        "json": save_text(base / f"{stem}.json", report_to_json(report)),
-        "csv": save_text(base / f"{stem}.csv", report_to_csv(report)),
+        "json": save_text(base / f"{stem}.json", report_to_json(view)),
+        "csv": save_text(base / f"{stem}.csv", report_to_csv(view.report)),
     }

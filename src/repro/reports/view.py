@@ -8,9 +8,8 @@ collateral inventory, and a schema-versioned ``to_dict()`` that is the
 wire form the serving layer returns.
 
 :class:`ProfilerReportView` is the concrete adapter over the existing
-:class:`~repro.accounting.base.ProfilerReport`; the legacy dict helpers
-in :mod:`repro.export` are deprecation shims over it (and are asserted
-byte-identical by regression test).
+:class:`~repro.accounting.base.ProfilerReport`; the JSON helpers in
+:mod:`repro.export` serialise it.
 """
 
 from __future__ import annotations
@@ -86,8 +85,8 @@ class ProfilerReportView:
     def to_dict(self) -> Dict[str, Any]:
         """The schema-versioned wire form.
 
-        Everything the legacy ``repro.export.report_to_dict`` emitted,
-        plus the ``schema``/``backend``/``total_j`` envelope fields.
+        The ``schema``/``backend``/``total_j`` envelope plus the
+        profiler name, the window and every row.
         """
         return {
             "schema": REPORT_SCHEMA,

@@ -34,7 +34,7 @@ Subscriber = Callable[[TelemetryEvent], None]
 
 
 class TelemetrySubscriberWarning(UserWarning):
-    """A telemetry subscriber (or legacy observer) raised during fan-out."""
+    """A telemetry subscriber raised during fan-out."""
 
 
 @dataclass
@@ -196,28 +196,18 @@ class TelemetryBus:
             try:
                 subscription.callback(event)
             except Exception as exc:  # noqa: BLE001 - isolation by design
-                self.report_subscriber_error(subscription.label, event.name, exc)
-
-    def report_subscriber_error(
-        self, subscriber: str, event_name: str, exc: Exception
-    ) -> None:
-        """Record a fan-out failure; warn once per subscriber.
-
-        Also used by the legacy ``ObserverRegistry`` shim so shim and
-        bus failures surface through one channel.
-        """
-        self.errors.append(
-            SubscriberError(subscriber=subscriber, event_name=event_name, error=repr(exc))
-        )
-        if subscriber not in self._warned:
-            self._warned.add(subscriber)
-            warnings.warn(
-                f"telemetry subscriber {subscriber!r} raised "
-                f"{exc!r} on {event_name!r}; delivery to other "
-                "subscribers continued",
-                TelemetrySubscriberWarning,
-                stacklevel=3,
-            )
+                # Record every failure; warn once per subscriber.
+                subscriber = subscription.label
+                self.errors.append(SubscriberError(subscriber, event.name, repr(exc)))
+                if subscriber not in self._warned:
+                    self._warned.add(subscriber)
+                    warnings.warn(
+                        f"telemetry subscriber {subscriber!r} raised "
+                        f"{exc!r} on {event.name!r}; delivery to other "
+                        "subscribers continued",
+                        TelemetrySubscriberWarning,
+                        stacklevel=2,
+                    )
 
     # ------------------------------------------------------------------
     # introspection

@@ -7,7 +7,7 @@ biggest and smallest values as outliers." (§VI-B)
 
 Three configurations are measured:
 
-* ``android`` — stock framework, no observers;
+* ``android`` — stock framework, nothing subscribed to its bus;
 * ``eandroid_framework`` — E-Android's monitor attached but the energy
   accounting module disabled (isolates pure hook cost);
 * ``eandroid_complete`` — the full system.
@@ -118,7 +118,7 @@ def build_configured_system(configuration: str) -> AndroidSystem:
             accounting,
             accounting_enabled=(configuration == "eandroid_complete"),
         )
-        system.register_observer(monitor)
+        monitor.attach(system.telemetry)
     return system
 
 

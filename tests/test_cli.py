@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestCli:
@@ -253,10 +255,10 @@ class TestCliServe:
 
 
 class TestObservabilityFlagAliases:
-    """`--bus-stats` / `--chrome-trace` stay accepted as hidden aliases."""
+    """`--telemetry` / `--trace-out` are the only observability spellings."""
 
     def test_bus_stats_alias(self, capsys):
-        assert main(["attack", "attack3", "--duration", "20", "--bus-stats"]) == 0
+        assert main(["attack", "attack3", "--duration", "20", "--telemetry"]) == 0
         assert "wakelock" in capsys.readouterr().out
 
     def test_chrome_trace_alias(self, capsys, tmp_path):
@@ -264,7 +266,7 @@ class TestObservabilityFlagAliases:
         assert (
             main(
                 ["attack", "attack3", "--duration", "20",
-                 "--chrome-trace", str(out)]
+                 "--trace-out", str(out)]
             )
             == 0
         )
@@ -275,5 +277,16 @@ class TestObservabilityFlagAliases:
             main(["serve", "--help"])
         help_text = capsys.readouterr().out
         assert "--telemetry" in help_text and "--trace-out" in help_text
-        assert "--bus-stats" not in help_text
-        assert "--chrome-trace" not in help_text
+        # No hidden spelling routes to either flag on any subcommand.
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        for name, sub in subparsers.choices.items():
+            spellings = sorted(
+                option
+                for action in sub._actions
+                if action.dest in ("telemetry", "trace_out")
+                for option in action.option_strings
+            )
+            assert spellings in ([], ["--telemetry", "--trace-out"]), name

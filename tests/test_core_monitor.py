@@ -1,5 +1,8 @@
 """Tests for the E-Android monitor — the Fig. 5 attack-lifecycle FSMs."""
 
+from dataclasses import dataclass
+from typing import ClassVar
+
 import pytest
 
 from repro.android import (
@@ -12,6 +15,8 @@ from repro.android import (
     explicit,
 )
 from repro.core import AttackKind, CollateralEventType, SCREEN_TARGET, attach_eandroid
+from repro.core.monitor import EAndroidMonitor
+from repro.telemetry import FRAMEWORK_CATEGORIES, Category, TelemetryEvent, events
 
 from helpers import booted_system, make_app
 
@@ -371,3 +376,48 @@ class TestLateAttach:
         ea = attach_eandroid(system)  # attached AFTER the acquire
         system.launch_app("com.fg")  # holder backgrounds with the lock
         assert (AttackKind.WAKELOCK, holder, SCREEN_TARGET) in live_kinds(ea)
+
+
+def _concrete_events(base):
+    """Every public event class ``repro.telemetry.events`` defines."""
+    for cls in base.__subclasses__():
+        if cls.__module__ == events.__name__ and not cls.__name__.startswith("_"):
+            yield cls
+        yield from _concrete_events(cls)
+
+
+class TestDispatchTable:
+    """The event-class → handler table is the monitor's whole input."""
+
+    def test_every_framework_event_has_exactly_one_handler(self):
+        # A framework event kind without a handler would never be
+        # journaled; this fails instead of dropping it silently.
+        framework = {
+            cls
+            for cls in _concrete_events(TelemetryEvent)
+            if cls.category in FRAMEWORK_CATEGORIES
+        }
+        assert set(EAndroidMonitor.HANDLERS) == framework
+        handlers = list(EAndroidMonitor.HANDLERS.values())
+        assert len(set(handlers)) == len(handlers)
+        for handler in handlers:
+            assert getattr(EAndroidMonitor, handler.__name__) is handler
+
+    def test_one_subscription_per_framework_category(self, rig):
+        system, ea = rig
+        assert system.telemetry.subscriber_count() == len(FRAMEWORK_CATEGORIES)
+        ea.monitor.detach()
+        assert system.telemetry.subscriber_count() == 0
+        assert not ea.monitor.attached
+
+    def test_event_without_handler_is_skipped(self, rig):
+        system, ea = rig
+
+        @dataclass(frozen=True)
+        class UnhandledScreenEvent(TelemetryEvent):
+            category: ClassVar[Category] = Category.SCREEN
+
+        journaled = len(ea.monitor.log)
+        system.telemetry.publish(UnhandledScreenEvent(time=system.now))
+        assert len(ea.monitor.log) == journaled
+        assert system.telemetry.errors == []

@@ -13,7 +13,6 @@ from repro.export import (
     attack_log_to_json,
     battery_curve_to_csv,
     report_to_csv,
-    report_to_dict,
     report_to_json,
     save_report,
     save_text,
@@ -36,7 +35,7 @@ def rig():
 class TestReportExport:
     def test_dict_shape(self, rig):
         system, ea = rig
-        data = report_to_dict(ea.report())
+        data = ea.interface.report_view().to_dict()
         assert data["profiler"].startswith("E-Android")
         assert data["window"]["end_s"] == system.now
         labels = {entry["label"] for entry in data["entries"]}
@@ -46,7 +45,7 @@ class TestReportExport:
 
     def test_json_parses(self, rig):
         _, ea = rig
-        parsed = json.loads(report_to_json(ea.report()))
+        parsed = json.loads(report_to_json(ea.interface.report_view()))
         assert parsed["entries"]
 
     def test_csv_parses(self, rig):
@@ -58,7 +57,7 @@ class TestReportExport:
 
     def test_save_report(self, rig, tmp_path):
         _, ea = rig
-        paths = save_report(ea.report(), tmp_path, stem="attack")
+        paths = save_report(ea.interface.report_view(), tmp_path, stem="attack")
         assert paths["json"].exists()
         assert paths["csv"].exists()
         assert json.loads(paths["json"].read_text())["entries"]

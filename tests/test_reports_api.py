@@ -1,17 +1,12 @@
-"""The unified Report API: requests, views, and the deprecation shim."""
-
-import json
-import warnings
+"""The unified Report API: requests and views."""
 
 import pytest
 
 from repro.accounting import BatteryStats, PowerTutor
-from repro.export import report_to_dict
 from repro.offline import OfflineAnalyzer, capture_trace
 from repro.reports import (
     BACKENDS,
     REPORT_SCHEMA,
-    ProfilerReportView,
     ReportRequest,
     ReportView,
     UnknownBackendError,
@@ -100,32 +95,3 @@ class TestReportViews:
             view = analyzer.describe(ReportRequest(backend=backend))
             assert view.backend == backend
             assert view.to_dict()["schema"] == REPORT_SCHEMA
-
-
-class TestDeprecationShim:
-    def test_byte_identity_with_view(self, attack_run):
-        system, ea = attack_run.system, attack_run.eandroid
-        for profiler, backend in (
-            (BatteryStats(system), "batterystats"),
-            (PowerTutor(system), "powertutor"),
-            (ea.interface, "eandroid"),
-        ):
-            report = profiler.report()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                legacy = report_to_dict(report)
-            fresh = ProfilerReportView(backend=backend, report=report).to_dict()
-            assert json.dumps(legacy, sort_keys=True) == json.dumps(
-                fresh, sort_keys=True
-            )
-
-    def test_single_deprecation_warning(self, attack_run, monkeypatch):
-        import repro.export as export_module
-
-        monkeypatch.setattr(export_module, "_warned_report_to_dict", False)
-        report = BatteryStats(attack_run.system).report()
-        with pytest.warns(DeprecationWarning):
-            report_to_dict(report)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            report_to_dict(report)  # second call must stay silent
